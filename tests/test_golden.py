@@ -44,7 +44,9 @@ CASES = (
     ("f1_d30", lambda: make_classic("f1", dim=30).problem, 6000, (7, 8)),
     ("f8_d5", lambda: make_classic("f8", dim=5).problem, 3000, (3, 4)),
     ("rc15", lambda: make_engineering("rc15").problem, 5000, (1, 2)),
+    ("rc17", lambda: make_engineering("rc17").problem, 5000, (1, 2)),
     ("rc19", lambda: make_engineering("rc19").problem, 5000, (1, 2)),
+    ("rc20", lambda: make_engineering("rc20").problem, 3000, (1, 2)),
     ("rc31", lambda: make_engineering("rc31").problem, 3000, (1, 2)),
     (
         "nan_start",
