@@ -106,7 +106,7 @@ def _cmd_eval(args) -> int:
     value = float(problem.objective(point))
     print(f"problem: {pid}")
     print(f"value: {_g(value)}")
-    if problem.constraints:
+    if problem.constrained:
         print(f"violation: {_g(violation_of(problem, point))}")
         print("constraints (g <= 0 is satisfied):")
         for idx, gi, ok in constraint_report(pid, point):
@@ -128,7 +128,8 @@ def _cmd_list() -> int:
         entry = make_engineering(pid)
         p = entry.problem
         print(
-            f"  {pid}: D={p.dim}, {len(p.constraints)} constraints, "
+            f"  {pid}: D={p.dim}, "
+            f"{len(constraint_report(pid, entry.reference[0]))} constraints, "
             f"budget {resolve_budget(p)}, reference {_g(entry.reference[1])}"
         )
     return 0

@@ -43,7 +43,6 @@ from .problems import (
     EvalBudget,
     Problem,
     argsort_by_compare,
-    compare_batch,
     evaluate_batch,
     resample_outside,
     sample_uniform,
@@ -351,12 +350,39 @@ def decompose_candidates(
 def _best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
     """Index of the compare-minimum; first occurrence wins ties.
 
-    Box-only problems carry all-zero violations, under which the
-    feasibility-first order is the objective order, so argmin decides.
+    When every row is feasible the feasibility-first order is the objective
+    order, so argmin decides. Otherwise argmin runs over the feasible values,
+    or over the violations when no row is feasible; only a minimum that is
+    NaN or +inf, where argmin and the stable order can disagree, takes the
+    full feasibility-first sort.
     """
-    if constrained and (viols > TOL_FEAS).any():
-        return int(argsort_by_compare(values, viols)[0])
+    if constrained:
+        feasible = viols <= TOL_FEAS
+        if not feasible.all():
+            keys = np.where(feasible, values, np.inf) if feasible.any() else viols
+            b = int(keys.argmin())
+            if keys[b] < np.inf:
+                return b
+            return int(argsort_by_compare(values, viols)[0])
     return int(values.argmin())
+
+
+def _improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndarray:
+    """Per row: does (values, viols) strictly beat (old_values, old_viols)
+    under feasibility-first rules? Box-only rows compare by value alone."""
+    better = values < old_values
+    if constrained:
+        feasible = viols <= TOL_FEAS
+        old_feasible = old_viols <= TOL_FEAS
+        if not (feasible.all() and old_feasible.all()):
+            # A change of class decides on its own; two infeasible rows
+            # compare by violation.
+            better = np.where(
+                feasible == old_feasible,
+                np.where(feasible, better, viols < old_viols),
+                feasible,
+            )
+    return better
 
 
 def _is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> bool:
@@ -462,7 +488,7 @@ def init_state(
         )
     x = sample_uniform(problem.bounds, pop_size, rng)
     _, values, viols = evaluate_batch(problem, x, budget, rng)
-    constrained = bool(problem.constraints)
+    constrained = problem.constrained
     b = _best_index(values, viols, constrained)
     return EcoState(
         x=x,
@@ -614,16 +640,15 @@ class EcoOptimizer(BaseOptimizer):
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
         candidates = candidates[:granted]
         rows = slice(sl.start, sl.start + granted)
-        if state.constrained:
-            accepted = compare_batch(values, viols, state.values[rows], state.viols[rows]) < 0
-            np.copyto(state.viols[rows], viols, where=accepted)
-            np.copyto(state.pbest_viols[rows], viols, where=accepted)
-        else:
-            # Box-only violations are zero on both sides; nothing to copy.
-            accepted = values < state.values[rows]
+        accepted = _improves(
+            values, viols, state.values[rows], state.viols[rows], state.constrained
+        )
         # Most late-run sweeps accept nothing; skip the masked copies then.
         if np.logical_or.reduce(accepted):
             state.pool_cums.pop(sl.start, None)
+            if state.constrained:
+                np.copyto(state.viols[rows], viols, where=accepted)
+                np.copyto(state.pbest_viols[rows], viols, where=accepted)
             accepted_rows = accepted[:, None]
             np.copyto(state.x[rows], candidates, where=accepted_rows)
             np.copyto(state.values[rows], values, where=accepted)

@@ -36,29 +36,29 @@ def _reducer_objective(x):
     )
 
 
-def _reducer_constraints():
+def _reducer_constraints(x):
     # Gear bending, surface stress, shaft deflections, shaft stresses, and
     # assorted dimensional couplings, in the conventional order. The two
     # stress constraints are the classical ones (first-shaft term driven by
     # x4, second by x5, with the 1.69e7 and 1.575e8 load constants): the
     # reference optimum sits on both, which pins the formulas down.
-    return (
-        lambda x: 27.0 / (x[..., 0] * x[..., 1] ** 2 * x[..., 2]) - 1.0,
-        lambda x: 397.5 / (x[..., 0] * x[..., 1] ** 2 * x[..., 2] ** 2) - 1.0,
-        lambda x: 1.93 * x[..., 3] ** 3 / (x[..., 1] * x[..., 2] * x[..., 5] ** 4) - 1.0,
-        lambda x: 1.93 * x[..., 4] ** 3 / (x[..., 1] * x[..., 2] * x[..., 6] ** 4) - 1.0,
-        lambda x: np.sqrt((745.0 * x[..., 3] / (x[..., 1] * x[..., 2])) ** 2 + 1.69e7)
-        / (110.0 * x[..., 5] ** 3)
-        - 1.0,
-        lambda x: np.sqrt((745.0 * x[..., 4] / (x[..., 1] * x[..., 2])) ** 2 + 1.575e8)
-        / (85.0 * x[..., 6] ** 3)
-        - 1.0,
-        lambda x: x[..., 1] * x[..., 2] / 40.0 - 1.0,
-        lambda x: 5.0 * x[..., 1] / x[..., 0] - 1.0,
-        lambda x: x[..., 0] / (12.0 * x[..., 1]) - 1.0,
-        lambda x: (1.5 * x[..., 5] + 1.9) / x[..., 3] - 1.0,
-        lambda x: (1.1 * x[..., 6] + 1.9) / x[..., 4] - 1.0,
-    )
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    x4, x5, x6, x7 = x[..., 3], x[..., 4], x[..., 5], x[..., 6]
+    g = np.empty((11,) + x.shape[:-1])
+    x1x2sq = x1 * x2**2
+    x2x3 = x2 * x3
+    g[0] = 27.0 / (x1x2sq * x3) - 1.0
+    g[1] = 397.5 / (x1x2sq * x3**2) - 1.0
+    g[2] = 1.93 * x4**3 / (x2x3 * x6**4) - 1.0
+    g[3] = 1.93 * x5**3 / (x2x3 * x7**4) - 1.0
+    g[4] = np.sqrt((745.0 * x4 / x2x3) ** 2 + 1.69e7) / (110.0 * x6**3) - 1.0
+    g[5] = np.sqrt((745.0 * x5 / x2x3) ** 2 + 1.575e8) / (85.0 * x7**3) - 1.0
+    g[6] = x2x3 / 40.0 - 1.0
+    g[7] = 5.0 * x2 / x1 - 1.0
+    g[8] = x1 / (12.0 * x2) - 1.0
+    g[9] = (1.5 * x6 + 1.9) / x4 - 1.0
+    g[10] = (1.1 * x7 + 1.9) / x5 - 1.0
+    return g
 
 
 def _speed_reducer() -> Problem:
@@ -76,7 +76,7 @@ def _speed_reducer() -> Problem:
             np.array([3.6, 0.8, 28.0, 8.3, 8.3, 3.9, 5.5]),
         ),
         objective=_reducer_objective,
-        constraints=_reducer_constraints(),
+        constraint_values=_reducer_constraints,
         known_optimum=2994.42447,
     )
 
@@ -88,18 +88,22 @@ def _spring_objective(x):
     return (x3 + 2.0) * x2 * x1**2
 
 
-def _spring_constraints():
+def _spring_constraints(x):
     # Deflection, shear stress, surge frequency, and outer diameter limits,
     # classical forms. The optimum is active on the first two.
-    return (
-        lambda x: 1.0 - x[..., 1] ** 3 * x[..., 2] / (71785.0 * x[..., 0] ** 4),
-        lambda x: (4.0 * x[..., 1] ** 2 - x[..., 0] * x[..., 1])
-        / (12566.0 * (x[..., 1] * x[..., 0] ** 3 - x[..., 0] ** 4))
-        + 1.0 / (5108.0 * x[..., 0] ** 2)
-        - 1.0,
-        lambda x: 1.0 - 140.45 * x[..., 0] / (x[..., 1] ** 2 * x[..., 2]),
-        lambda x: (x[..., 0] + x[..., 1]) / 1.5 - 1.0,
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    g = np.empty((4,) + x.shape[:-1])
+    x1p4 = x1**4
+    x2sq = x2**2
+    g[0] = 1.0 - x2**3 * x3 / (71785.0 * x1p4)
+    g[1] = (
+        (4.0 * x2sq - x1 * x2) / (12566.0 * (x2 * x1**3 - x1p4))
+        + 1.0 / (5108.0 * x1**2)
+        - 1.0
     )
+    g[2] = 1.0 - 140.45 * x1 / (x2sq * x3)
+    g[3] = (x1 + x2) / 1.5 - 1.0
+    return g
 
 
 def _spring() -> Problem:
@@ -109,7 +113,7 @@ def _spring() -> Problem:
         dim=3,
         bounds=Bounds(np.array([0.05, 0.25, 2.0]), np.array([2.0, 1.3, 15.0])),
         objective=_spring_objective,
-        constraints=_spring_constraints(),
+        constraint_values=_spring_constraints,
         known_optimum=0.01266523,
     )
 
@@ -130,46 +134,34 @@ def _beam_objective(x):
     return 1.10471 * x1**2 * x2 + 0.04811 * x3 * x4 * (14.0 + x2)
 
 
-def _beam_shear(x):
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+def _beam_constraints(x):
+    # Shear stress, bending stress, deflection, weld-vs-bar size, buckling,
+    # minimum weld size, cost cap.
+    x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    g = np.empty((7,) + x.shape[:-1])
     tau_p = _BEAM_P / (np.sqrt(2.0) * x1 * x2)
     moment = _BEAM_P * (_BEAM_L + x2 / 2.0)
     radius_sq = x2**2 / 4.0 + ((x1 + x3) / 2.0) ** 2
     radius = np.sqrt(radius_sq)
     polar = 2.0 * np.sqrt(2.0) * x1 * x2 * radius_sq
     tau_pp = moment * radius / polar
-    return np.sqrt(tau_p**2 + 2.0 * tau_p * tau_pp * x2 / (2.0 * radius) + tau_pp**2)
-
-
-def _beam_bending(x):
-    return 6.0 * _BEAM_P * _BEAM_L / (x[..., 3] * x[..., 2] ** 2)
-
-
-def _beam_deflection(x):
-    return 4.0 * _BEAM_P * _BEAM_L**3 / (_BEAM_E * x[..., 2] ** 3 * x[..., 3])
-
-
-def _beam_buckling(x):
-    x3, x4 = x[..., 2], x[..., 3]
-    return (
+    shear = np.sqrt(tau_p**2 + 2.0 * tau_p * tau_pp * x2 / (2.0 * radius) + tau_pp**2)
+    x3sq = x3**2
+    buckling = (
         4.013
         * _BEAM_E
-        * np.sqrt(x3**2 * x4**6 / 36.0)
+        * np.sqrt(x3sq * x4**6 / 36.0)
         / _BEAM_L**2
         * (1.0 - x3 / (2.0 * _BEAM_L) * np.sqrt(_BEAM_E / (4.0 * _BEAM_G)))
     )
-
-
-def _beam_constraints():
-    return (
-        lambda x: _beam_shear(x) - _TAU_MAX,
-        lambda x: _beam_bending(x) - _SIGMA_MAX,
-        lambda x: _beam_deflection(x) - _DELTA_MAX,
-        lambda x: x[..., 0] - x[..., 3],
-        lambda x: _BEAM_P - _beam_buckling(x),
-        lambda x: 0.125 - x[..., 0],
-        lambda x: _beam_objective(x) - 5.0,
-    )
+    g[0] = shear - _TAU_MAX
+    g[1] = 6.0 * _BEAM_P * _BEAM_L / (x4 * x3sq) - _SIGMA_MAX
+    g[2] = 4.0 * _BEAM_P * _BEAM_L**3 / (_BEAM_E * x3**3 * x4) - _DELTA_MAX
+    g[3] = x1 - x4
+    g[4] = _BEAM_P - buckling
+    g[5] = 0.125 - x1
+    g[6] = _beam_objective(x) - 5.0
+    return g
 
 
 def _welded_beam() -> Problem:
@@ -191,7 +183,7 @@ def _welded_beam() -> Problem:
         dim=4,
         bounds=Bounds(np.array([0.125, 0.1, 0.1, 0.1]), np.array([2.0, 10.0, 10.0, 2.0])),
         objective=_beam_objective,
-        constraints=_beam_constraints(),
+        constraint_values=_beam_constraints,
         known_optimum=1.69524716,
     )
 
@@ -207,29 +199,18 @@ def _truss_objective(x):
     return (2.0 * np.sqrt(2.0) * x[..., 0] + x[..., 1]) * _TRUSS_L
 
 
-def _truss_constraints():
+def _truss_constraints(x):
     # Member stress limits. Denominators are the classical sqrt(2)*x1^2 +
     # 2*x1*x2 load-path terms; a zero cross-section yields an infinite
     # stress, which the violation accounting treats as infeasible.
-    def g1(x):
-        x1, x2 = x[..., 0], x[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (np.sqrt(2.0) * x1 + x2) / (np.sqrt(2.0) * x1**2 + 2.0 * x1 * x2)
-        return ratio * _TRUSS_P - _TRUSS_SIGMA
-
-    def g2(x):
-        x1, x2 = x[..., 0], x[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = x2 / (np.sqrt(2.0) * x1**2 + 2.0 * x1 * x2)
-        return ratio * _TRUSS_P - _TRUSS_SIGMA
-
-    def g3(x):
-        x1, x2 = x[..., 0], x[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = 1.0 / (x1 + np.sqrt(2.0) * x2)
-        return ratio * _TRUSS_P - _TRUSS_SIGMA
-
-    return (g1, g2, g3)
+    x1, x2 = x[..., 0], x[..., 1]
+    g = np.empty((3,) + x.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        load_path = np.sqrt(2.0) * x1**2 + 2.0 * x1 * x2
+        g[0] = (np.sqrt(2.0) * x1 + x2) / load_path * _TRUSS_P - _TRUSS_SIGMA
+        g[1] = x2 / load_path * _TRUSS_P - _TRUSS_SIGMA
+        g[2] = 1.0 / (x1 + np.sqrt(2.0) * x2) * _TRUSS_P - _TRUSS_SIGMA
+    return g
 
 
 def _three_bar_truss() -> Problem:
@@ -239,7 +220,7 @@ def _three_bar_truss() -> Problem:
         dim=2,
         bounds=Bounds.uniform(0.0, 1.0, 2),
         objective=_truss_objective,
-        constraints=_truss_constraints(),
+        constraint_values=_truss_constraints,
         known_optimum=263.895843,
     )
 
@@ -264,14 +245,10 @@ def _gear_objective(x):
     return (_GEAR_TARGET - ratio) ** 2
 
 
-def _gear_constraints():
-    lower = tuple(
-        (lambda i: lambda x: 12.0 - x[..., i])(i) for i in range(4)
-    )
-    upper = tuple(
-        (lambda i: lambda x: x[..., i] - 60.0)(i) for i in range(4)
-    )
-    return lower + upper
+def _gear_constraints(x):
+    # Every tooth count at least 12 (rows 1-4), then at most 60 (rows 5-8).
+    counts = np.moveaxis(x, -1, 0)
+    return np.concatenate((12.0 - counts, counts - 60.0))
 
 
 def _gear_train() -> Problem:
@@ -285,7 +262,7 @@ def _gear_train() -> Problem:
         dim=4,
         bounds=Bounds.uniform(0.01, 60.0, 4),
         objective=_gear_objective,
-        constraints=_gear_constraints(),
+        constraint_values=_gear_constraints,
         known_optimum=2.7009e-12,
     )
 
@@ -350,12 +327,12 @@ def constraint_report(pid: str, x) -> list:
     """Evaluate every constraint of a problem at x.
 
     Returns a list of (constraint index, g_i(x), satisfied) triples in
-    definition order; satisfied means g_i(x) <= TOL_FEAS.
+    definition order, read from the problem's constraint matrix; satisfied
+    means g_i(x) <= TOL_FEAS.
     """
     entry = make_engineering(pid)
     point = as_point(x, entry.problem.dim)
     report = []
-    for i, g in enumerate(entry.problem.constraints, start=1):
-        gi = float(g(point))
-        report.append((i, gi, gi <= TOL_FEAS))
+    for i, g in enumerate(entry.problem.constraint_values(point).tolist(), start=1):
+        report.append((i, g, g <= TOL_FEAS))
     return report

@@ -1,14 +1,17 @@
 """Problem abstraction: bounded objectives, constraints, and FE accounting.
 
 Every optimizer in this package consumes the same `Problem` contract: a box,
-an objective, and an optional ordered list of inequality constraints with the
-convention g_i(x) <= 0 meaning satisfied. Evaluation counting is explicit so
-budgets are enforced at the only place function values can be produced.
+an objective, and optional inequality constraints with the convention
+g_i(x) <= 0 meaning satisfied. Evaluation counting is explicit so budgets are
+enforced at the only place function values can be produced.
 
-Objectives and constraints must accept arrays of shape (..., D) and return
-values of shape (...), i.e. they are vectorized over leading axes. All
-functions shipped with this package follow that contract; `batchable` wraps a
-scalar-only callable when needed.
+Objectives must accept arrays of shape (..., D) and return values of shape
+(...), i.e. they are vectorized over leading axes. A problem's m constraints
+come from one callable, `constraint_values`, that maps (..., D) to an (m, ...)
+array: row i holds g_i at every point, in the problem's constraint order, so
+rows can share subexpressions and the violation is one pass over one matrix.
+All functions shipped with this package follow that contract; `batchable`
+wraps a scalar-only objective when needed.
 """
 
 from __future__ import annotations
@@ -93,18 +96,19 @@ class Bounds:
 class Problem:
     """A bounded minimization problem with optional inequality constraints.
 
-    objective maps (..., D) arrays to (...) values. constraints is an ordered
-    tuple of g_i with the same vectorization contract; g_i(x) <= 0 means
-    satisfied. noise, when present, draws one additive objective term per
-    evaluation from the caller's RNG stream (classic F7 is the only shipped
-    user); such problems report noisy = True.
+    objective maps (..., D) arrays to (...) values. constraint_values, when
+    present, maps (..., D) arrays to the (m, ...) matrix of all m constraint
+    values, one row per g_i in constraint order; g_i(x) <= 0 means satisfied.
+    noise, when present, draws one additive objective term per evaluation
+    from the caller's RNG stream (classic F7 is the only shipped user); such
+    problems report noisy = True.
     """
 
     name: str
     dim: int
     bounds: Bounds
     objective: Callable[[np.ndarray], np.ndarray]
-    constraints: tuple = ()
+    constraint_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_optimum: Optional[float] = None
     noise: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
@@ -113,7 +117,10 @@ class Problem:
             raise ValueError("dim must be >= 1")
         if self.bounds.dim != self.dim:
             raise ValueError("bounds dimension does not match problem dim")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+
+    @property
+    def constrained(self) -> bool:
+        return self.constraint_values is not None
 
     @property
     def noisy(self) -> bool:
@@ -173,12 +180,16 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     comparisons.
     """
     x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape[:-1], dtype=float)
-    for g in problem.constraints:
-        gv = np.asarray(g(x), dtype=float)
-        gv = np.where(np.isnan(gv), np.inf, gv)
-        total = total + np.maximum(gv, 0.0)
-    return total
+    if problem.constraint_values is None:
+        return np.zeros(x.shape[:-1], dtype=float)
+    parts = np.maximum(problem.constraint_values(x), 0.0)
+    # Fold the rows strictly in constraint order, from +0.0: a pairwise sum
+    # over the constraint axis would round differently.
+    total = np.zeros(parts.shape[1:])
+    for part in parts:
+        total += part
+    # Every term is >= 0 or NaN, so the total is NaN exactly when some g_i is.
+    return np.where(np.isnan(total), np.inf, total)
 
 
 def evaluate(
@@ -195,7 +206,7 @@ def evaluate(
         if rng is None:
             raise ValueError(f"{problem.name} is noisy; an RNG stream is required")
         value += float(problem.noise(rng, 1)[0])
-    viol = float(violation_of(problem, point)) if problem.constraints else 0.0
+    viol = float(violation_of(problem, point)) if problem.constrained else 0.0
     return Evaluation(value=value, violation=viol)
 
 
@@ -223,7 +234,7 @@ def evaluate_batch(
         if rng is None:
             raise ValueError(f"{problem.name} is noisy; an RNG stream is required")
         values = values + problem.noise(rng, granted)
-    if problem.constraints:
+    if problem.constrained:
         viols = violation_of(problem, rows)
     else:
         viols = np.zeros(granted, dtype=float)

@@ -11,6 +11,8 @@ from ecocycle.eco import (
     DEFAULT_PROPORTIONS,
     EcoOptimizer,
     EcoState,
+    _best_index,
+    _improves,
     decompose_candidates,
     decompose_global,
     decompose_local,
@@ -27,7 +29,15 @@ from ecocycle.eco import (
     run,
 )
 from ecocycle.engineering import make_engineering
-from ecocycle.problems import Bounds, BudgetExhausted, EvalBudget, Problem
+from ecocycle.problems import (
+    TOL_FEAS,
+    Bounds,
+    BudgetExhausted,
+    EvalBudget,
+    Problem,
+    argsort_by_compare,
+    compare_batch,
+)
 
 
 class QueuedRng:
@@ -604,6 +614,49 @@ class TestEstimatorContract:
         assert np.array_equal(trace.best_values, opt.trace_.best_values)
 
 
+def reference_best_index(values, viols, constrained):
+    """Best-index selection as it was before the argmin fast paths."""
+    if constrained and (viols > TOL_FEAS).any():
+        return int(argsort_by_compare(values, viols)[0])
+    return int(values.argmin())
+
+
+class TestFeasibilityFastPaths:
+    """The argmin and one-compare shortcuts against the full
+    feasibility-first ordering, on rows mixing every non-finite case."""
+
+    VALUES = np.array([-1.5, 0.0, 2.0, 2.0, 7.25, np.inf, -np.inf, np.nan])
+    VIOLS = np.array([0.0, 1e-9, TOL_FEAS, 1e-3, 1e-3, 4.0, np.inf])
+
+    def draw(self, rng, n):
+        # Rows drawn from a few random pool entries make ties, all-feasible,
+        # all-infeasible and all-non-finite batches common.
+        values = rng.choice(rng.choice(self.VALUES, size=rng.integers(1, 5), replace=False), n)
+        viols = rng.choice(rng.choice(self.VIOLS, size=rng.integers(1, 4), replace=False), n)
+        return values, viols
+
+    def test_best_index_agrees_with_sorted_order(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5000):
+            values, viols = self.draw(rng, int(rng.integers(1, 13)))
+            for constrained in (True, False):
+                if not constrained:
+                    viols = np.zeros_like(viols)
+                assert _best_index(values, viols, constrained) == reference_best_index(
+                    values, viols, constrained
+                ), (values, viols, constrained)
+
+    def test_improves_agrees_with_compare_batch(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5000):
+            n = int(rng.integers(1, 10))
+            values, viols = self.draw(rng, n)
+            old_values, old_viols = self.draw(rng, n)
+            want = compare_batch(values, viols, old_values, old_viols) < 0
+            got = _improves(values, viols, old_values, old_viols, True)
+            assert np.array_equal(got, want), (values, viols, old_values, old_viols)
+
+
 class TestBoxOnlyPathEquivalence:
     """The box-only shortcuts must agree with the feasibility-first path.
 
@@ -619,7 +672,7 @@ class TestBoxOnlyPathEquivalence:
             dim=problem.dim,
             bounds=problem.bounds,
             objective=problem.objective,
-            constraints=(lambda x: np.full(x.shape[:-1], -1.0),),
+            constraint_values=lambda x: np.full((1,) + x.shape[:-1], -1.0),
         )
 
     @pytest.mark.parametrize(

@@ -147,9 +147,11 @@ class TestViolation:
             dim=1,
             bounds=Bounds.symmetric(10.0, 1),
             objective=lambda x: np.sum(x, axis=-1),
-            constraints=(
-                lambda x: x[..., 0] - 1.0,   # x <= 1
-                lambda x: -x[..., 0] - 1.0,  # x >= -1
+            constraint_values=lambda x: np.stack(
+                (
+                    x[..., 0] - 1.0,   # x <= 1
+                    -x[..., 0] - 1.0,  # x >= -1
+                )
             ),
         )
         assert violation_of(p, np.array([0.5])) == 0.0
@@ -162,7 +164,7 @@ class TestViolation:
             dim=1,
             bounds=Bounds.symmetric(1.0, 1),
             objective=lambda x: np.sum(x, axis=-1),
-            constraints=(lambda x: x[..., 0] / x[..., 0] - 1.0,),  # nan at 0
+            constraint_values=lambda x: (x[..., 0] / x[..., 0] - 1.0)[None],  # nan at 0
         )
         with np.errstate(invalid="ignore"):
             v = violation_of(p, np.array([0.0]))
