@@ -139,7 +139,8 @@ def _roulette_cum(values, viols) -> np.ndarray:
     """Cumulative roulette distribution, ending at exactly 1.0 (or NaN when
     the pool's values are not finite), so that a uniform draw in [0, 1)
     always searches to a valid index."""
-    if viols is not None and bool(np.any(viols > TOL_FEAS)):
+    # fmax skips NaN, so this is np.any(viols > TOL_FEAS) without its wrapper.
+    if viols is not None and np.fmax.reduce(viols) > TOL_FEAS:
         cum = np.cumsum(roulette_probabilities(values, viols))
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
@@ -356,14 +357,15 @@ def _best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int
     NaN or +inf, where argmin and the stable order can disagree, takes the
     full feasibility-first sort.
     """
-    if constrained:
+    # fmax skips NaN, so this is (viols > TOL_FEAS).any() without the Python
+    # wrapper behind ndarray.any.
+    if constrained and np.fmax.reduce(viols) > TOL_FEAS:
         feasible = viols <= TOL_FEAS
-        if not feasible.all():
-            keys = np.where(feasible, values, np.inf) if feasible.any() else viols
-            b = int(keys.argmin())
-            if keys[b] < np.inf:
-                return b
-            return int(argsort_by_compare(values, viols)[0])
+        keys = np.where(feasible, values, np.inf) if feasible.any() else viols
+        b = int(keys.argmin())
+        if keys[b] < np.inf:
+            return b
+        return int(argsort_by_compare(values, viols)[0])
     return int(values.argmin())
 
 
@@ -371,17 +373,18 @@ def _improves(values, viols, old_values, old_viols, constrained: bool) -> np.nda
     """Per row: does (values, viols) strictly beat (old_values, old_viols)
     under feasibility-first rules? Box-only rows compare by value alone."""
     better = values < old_values
-    if constrained:
+    # A NaN violation fails the all-feasible test and counts as infeasible.
+    if constrained and not (
+        np.maximum.reduce(viols) <= TOL_FEAS and np.maximum.reduce(old_viols) <= TOL_FEAS
+    ):
         feasible = viols <= TOL_FEAS
-        old_feasible = old_viols <= TOL_FEAS
-        if not (feasible.all() and old_feasible.all()):
-            # A change of class decides on its own; two infeasible rows
-            # compare by violation.
-            better = np.where(
-                feasible == old_feasible,
-                np.where(feasible, better, viols < old_viols),
-                feasible,
-            )
+        # A change of class decides on its own; two infeasible rows compare
+        # by violation.
+        better = np.where(
+            feasible == (old_viols <= TOL_FEAS),
+            np.where(feasible, better, viols < old_viols),
+            feasible,
+        )
     return better
 
 
@@ -518,10 +521,12 @@ def producer_update(state: EcoState) -> None:
     stack_values = np.concatenate((state.values[:n_pro], state.dec_values))
     if state.constrained:
         stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
+    # A NaN violation fails the all-feasible test and counts as infeasible.
+    if state.constrained and not np.maximum.reduce(stack_viols) <= TOL_FEAS:
         keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
     else:
-        # All violations are zero, so the feasibility class is constant and
-        # a stable sort on the objective gives the same order.
+        # Every row is feasible, so the feasibility class is constant and a
+        # stable sort on the objective gives the same order.
         keep = stack_values.argsort(kind="stable")[:n_pro]
     if keep.tolist() == list(range(n_pro)):
         return  # the producers are still the best rows, already in order

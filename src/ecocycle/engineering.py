@@ -47,17 +47,19 @@ def _reducer_constraints(x):
     g = np.empty((11,) + x.shape[:-1])
     x1x2sq = x1 * x2**2
     x2x3 = x2 * x3
-    g[0] = 27.0 / (x1x2sq * x3) - 1.0
-    g[1] = 397.5 / (x1x2sq * x3**2) - 1.0
-    g[2] = 1.93 * x4**3 / (x2x3 * x6**4) - 1.0
-    g[3] = 1.93 * x5**3 / (x2x3 * x7**4) - 1.0
-    g[4] = np.sqrt((745.0 * x4 / x2x3) ** 2 + 1.69e7) / (110.0 * x6**3) - 1.0
-    g[5] = np.sqrt((745.0 * x5 / x2x3) ** 2 + 1.575e8) / (85.0 * x7**3) - 1.0
-    g[6] = x2x3 / 40.0 - 1.0
-    g[7] = 5.0 * x2 / x1 - 1.0
-    g[8] = x1 / (12.0 * x2) - 1.0
-    g[9] = (1.5 * x6 + 1.9) / x4 - 1.0
-    g[10] = (1.1 * x7 + 1.9) / x5 - 1.0
+    # Every row is a ratio minus 1.0; the subtraction runs once at the end.
+    g[0] = 27.0 / (x1x2sq * x3)
+    g[1] = 397.5 / (x1x2sq * x3**2)
+    g[2] = 1.93 * x4**3 / (x2x3 * x6**4)
+    g[3] = 1.93 * x5**3 / (x2x3 * x7**4)
+    g[4] = np.sqrt((745.0 * x4 / x2x3) ** 2 + 1.69e7) / (110.0 * x6**3)
+    g[5] = np.sqrt((745.0 * x5 / x2x3) ** 2 + 1.575e8) / (85.0 * x7**3)
+    g[6] = x2x3 / 40.0
+    g[7] = 5.0 * x2 / x1
+    g[8] = x1 / (12.0 * x2)
+    g[9] = (1.5 * x6 + 1.9) / x4
+    g[10] = (1.1 * x7 + 1.9) / x5
+    g -= 1.0
     return g
 
 
@@ -207,9 +209,12 @@ def _truss_constraints(x):
     g = np.empty((3,) + x.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         load_path = np.sqrt(2.0) * x1**2 + 2.0 * x1 * x2
-        g[0] = (np.sqrt(2.0) * x1 + x2) / load_path * _TRUSS_P - _TRUSS_SIGMA
-        g[1] = x2 / load_path * _TRUSS_P - _TRUSS_SIGMA
-        g[2] = 1.0 / (x1 + np.sqrt(2.0) * x2) * _TRUSS_P - _TRUSS_SIGMA
+        g[0] = (np.sqrt(2.0) * x1 + x2) / load_path
+        g[1] = x2 / load_path
+        g[2] = 1.0 / (x1 + np.sqrt(2.0) * x2)
+    # Each row is its stress ratio times the load, less the stress limit.
+    g *= _TRUSS_P
+    g -= _TRUSS_SIGMA
     return g
 
 
@@ -247,7 +252,7 @@ def _gear_objective(x):
 
 def _gear_constraints(x):
     # Every tooth count at least 12 (rows 1-4), then at most 60 (rows 5-8).
-    counts = np.moveaxis(x, -1, 0)
+    counts = x.transpose(-1, *range(x.ndim - 1))
     return np.concatenate((12.0 - counts, counts - 60.0))
 
 

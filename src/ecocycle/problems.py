@@ -279,9 +279,8 @@ def compare_batch(
 
 def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
     """Stable ascending order under compare (best first)."""
-    feas_class = np.where(viols <= TOL_FEAS, 0.0, 1.0)
-    metric = np.where(viols <= TOL_FEAS, values, viols)
-    return np.lexsort((metric, feas_class))
+    feasible = viols <= TOL_FEAS
+    return np.lexsort((np.where(feasible, values, viols), ~feasible))
 
 
 def sample_uniform(bounds: Bounds, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -626,13 +626,13 @@ class TestFeasibilityFastPaths:
     feasibility-first ordering, on rows mixing every non-finite case."""
 
     VALUES = np.array([-1.5, 0.0, 2.0, 2.0, 7.25, np.inf, -np.inf, np.nan])
-    VIOLS = np.array([0.0, 1e-9, TOL_FEAS, 1e-3, 1e-3, 4.0, np.inf])
+    VIOLS = np.array([0.0, 1e-9, TOL_FEAS, 1e-3, 1e-3, 4.0, np.inf, np.nan])
 
     def draw(self, rng, n):
         # Rows drawn from a few random pool entries make ties, all-feasible,
         # all-infeasible and all-non-finite batches common.
         values = rng.choice(rng.choice(self.VALUES, size=rng.integers(1, 5), replace=False), n)
-        viols = rng.choice(rng.choice(self.VIOLS, size=rng.integers(1, 4), replace=False), n)
+        viols = rng.choice(rng.choice(self.VIOLS, size=rng.integers(1, 5), replace=False), n)
         return values, viols
 
     def test_best_index_agrees_with_sorted_order(self):
