@@ -15,7 +15,7 @@ import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import chdtrc
 
 
 class EmptySample(ValueError):
@@ -62,7 +62,20 @@ class PairwiseVerdict:
 
 
 def _midranks(combined: np.ndarray) -> np.ndarray:
-    return _sps.rankdata(combined, method="average")
+    """1-based ranks of a 1-D sample, tied values sharing the mean of their
+    positions; any NaN makes every rank NaN (SciPy's rankdata defaults)."""
+    n = combined.shape[0]
+    if np.isnan(combined).any():
+        return np.full(n, np.nan)
+    order = np.argsort(combined, kind="stable")
+    ordered = combined[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n)
+    # A tie group covering sorted positions start..end-1 holds ranks
+    # start+1..end, whose mean is (start + end + 1) / 2, exact in floats.
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def _exact_two_sided_p(doubled: np.ndarray, n1: int, w_doubled: int) -> float:
@@ -243,7 +256,9 @@ def friedman(
     statistic = 12.0 * n / (m * (m + 1)) * (
         float(np.sum(mean_ranks**2)) - m * (m + 1) ** 2 / 4.0
     )
-    p_value = float(_sps.chi2.sf(statistic, df=m - 1))
+    # chdtrc is the chi-square survival function; it returns NaN below
+    # zero, where the survival probability is 1.
+    p_value = float(chdtrc(m - 1, max(statistic, 0.0)))
     return FriedmanResult(
         mean_ranks=mean_ranks,
         statistic=float(statistic),

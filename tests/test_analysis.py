@@ -16,6 +16,7 @@ from scipy import stats as sps
 
 from ecocycle.analysis import (
     DiversityCurve,
+    _midranks,
     EmptySample,
     FriedmanResult,
     InsufficientGroups,
@@ -216,7 +217,37 @@ class TestWinTieLoss:
             win_tie_loss("ref", {"ref": [[1.0], [2.0]], "opp": [[1.0]]})
 
 
+class TestMidranks:
+    """The NumPy mid-ranks against SciPy's rankdata, byte for byte."""
+
+    POOL = np.array([0.0, -0.0, 1.0, 2.5, -3.0, 1e-300, np.inf, -np.inf])
+
+    def test_matches_rankdata(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            if rng.random() < 0.5:
+                sample = rng.choice(rng.choice(self.POOL, size=int(rng.integers(1, 5))), n)
+            else:
+                sample = rng.standard_normal(n)
+            want = sps.rankdata(sample, method="average")
+            assert _midranks(sample).tobytes() == want.tobytes(), sample
+
+    def test_nan_makes_every_rank_nan(self):
+        ranks = _midranks(np.array([1.0, np.nan, 0.0, 1.0]))
+        assert np.isnan(ranks).all()
+        assert np.isnan(sps.rankdata([1.0, np.nan, 0.0, 1.0])).all()
+
+
 class TestFriedman:
+    def test_p_value_matches_chi2_survival(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+            ave = rng.integers(0, 4, size=(n, m)).astype(float)
+            res = friedman(ave)
+            assert res.p_value == float(sps.chi2.sf(res.statistic, m - 1))
+
     def test_perfect_ordering_statistic(self):
         # ten rows all ranking the three algorithms 1,2,3 give mean ranks
         # (1,2,3) and statistic 12*10/(3*4) * (14 - 12) = 20
