@@ -114,6 +114,7 @@ class PsoOptimizer(BaseOptimizer):
                 pbest_x[improved] = x[improved]
                 pbest_values[improved] = values[improved]
                 pbest_viols[improved] = viols[improved]
+                new_best = False
                 if improved.size:
                     sub = argsort_by_compare(
                         pbest_values[improved], pbest_viols[improved]
@@ -125,8 +126,15 @@ class PsoOptimizer(BaseOptimizer):
                         gbest_x = pbest_x[cand].copy()
                         gbest_value = float(pbest_values[cand])
                         gbest_viol = float(pbest_viols[cand])
+                        new_best = True
 
                 if granted < pop:
+                    # A partial last sweep that moved the global best gets
+                    # its own row, so the trace ends at the reported best.
+                    if new_best:
+                        recorder.record(
+                            k, budget.used, gbest_value, gbest_viol, population_diversity(x)
+                        )
                     raise BudgetExhausted("budget ran dry mid-sweep")
                 recorder.record(
                     k, budget.used, gbest_value, gbest_viol, population_diversity(x)

@@ -62,6 +62,17 @@ class TestFitMechanics:
         assert opt.trace_.fes.tolist() == [30, 60, 90]
         assert opt.n_iters_ == 2
 
+    def test_partial_sweep_that_improves_is_recorded(self):
+        # The budget ends 10 evaluations into a sweep that lowers the best
+        # from 206.83813221583816 (at 9,990 evaluations) to 206.83812311673634.
+        problem = make_classic("f9", dim=30).problem
+        opt = PsoOptimizer(max_fes=10000, seed=4).fit(problem)
+        assert opt.n_fes_ == 10000
+        assert opt.trace_.fes[-2:].tolist() == [9990, 10000]
+        assert opt.trace_.best_values[-1] == opt.best_value_
+        assert opt.trace_.best_values[-2] > opt.best_value_
+        assert opt.n_iters_ == opt.trace_.iters[-1] == 333
+
     def test_full_sweeps_land_on_budget(self):
         problem = make_classic("f1", dim=3).problem
         opt = PsoOptimizer(max_fes=300, seed=1).fit(problem)
