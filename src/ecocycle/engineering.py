@@ -9,8 +9,10 @@ within its stated tolerance. Where a printed variant failed that check, the
 classical formulation of the constraint was used instead; the welded beam
 docstring records the variant that survived.
 
-All objectives and constraints are vectorized over leading axes: input
-(..., D), output (...).
+Objectives are vectorized over leading axes: input (..., D), output (...).
+Each problem computes all of its constraints in one call, input (..., D),
+output (m, ...) with one row per constraint in the conventional order, so
+rows can share subexpressions.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ def _reducer_constraints(x):
     # Gear bending, surface stress, shaft deflections, shaft stresses, and
     # assorted dimensional couplings, in the conventional order. The two
     # stress constraints are the classical ones (first-shaft term driven by
-    # x4, second by x5, with the 1.69e7 and 1.575e8 load constants): the
-    # reference optimum sits on both, which pins the formulas down.
+    # x4, second by x5, with the CEC-2020-RW load constants 16.91e6 and
+    # 1.575e8): the reference optimum sits on both, which pins the formulas
+    # down.
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     x4, x5, x6, x7 = x[..., 3], x[..., 4], x[..., 5], x[..., 6]
     g = np.empty((11,) + x.shape[:-1])
@@ -52,7 +55,7 @@ def _reducer_constraints(x):
     g[1] = 397.5 / (x1x2sq * x3**2)
     g[2] = 1.93 * x4**3 / (x2x3 * x6**4)
     g[3] = 1.93 * x5**3 / (x2x3 * x7**4)
-    g[4] = np.sqrt((745.0 * x4 / x2x3) ** 2 + 1.69e7) / (110.0 * x6**3)
+    g[4] = np.sqrt((745.0 * x4 / x2x3) ** 2 + 16.91e6) / (110.0 * x6**3)
     g[5] = np.sqrt((745.0 * x5 / x2x3) ** 2 + 1.575e8) / (85.0 * x7**3)
     g[6] = x2x3 / 40.0
     g[7] = 5.0 * x2 / x1

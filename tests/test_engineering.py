@@ -22,8 +22,10 @@ DIMS = {"rc15": 7, "rc17": 3, "rc19": 4, "rc20": 2, "rc31": 4}
 # --- oracle: every constraint as its own callable -------------------------------
 #
 # These are the per-constraint formulas the catalog used before each problem
-# computed all of its constraints in one call, kept term for term. Each row of
-# a problem's constraint matrix must equal its oracle entry bit for bit.
+# computed all of its constraints in one call, kept term for term (the speed
+# reducer's first shaft-stress constant since corrected from 1.69e7 to the
+# CEC-2020-RW 16.91e6). Each row of a problem's constraint matrix must equal
+# its oracle entry bit for bit.
 
 _BEAM_P, _BEAM_L, _BEAM_E, _BEAM_G = 6000.0, 14.0, 30.0e6, 12.0e6
 
@@ -70,7 +72,7 @@ ORACLE = {
         lambda x: 397.5 / (x[..., 0] * x[..., 1] ** 2 * x[..., 2] ** 2) - 1.0,
         lambda x: 1.93 * x[..., 3] ** 3 / (x[..., 1] * x[..., 2] * x[..., 5] ** 4) - 1.0,
         lambda x: 1.93 * x[..., 4] ** 3 / (x[..., 1] * x[..., 2] * x[..., 6] ** 4) - 1.0,
-        lambda x: np.sqrt((745.0 * x[..., 3] / (x[..., 1] * x[..., 2])) ** 2 + 1.69e7)
+        lambda x: np.sqrt((745.0 * x[..., 3] / (x[..., 1] * x[..., 2])) ** 2 + 16.91e6)
         / (110.0 * x[..., 5] ** 3)
         - 1.0,
         lambda x: np.sqrt((745.0 * x[..., 4] / (x[..., 1] * x[..., 2])) ** 2 + 1.575e8)
