@@ -255,7 +255,7 @@ def _gear_objective(x):
 
 def _gear_constraints(x):
     # Every tooth count at least 12 (rows 1-4), then at most 60 (rows 5-8).
-    counts = x.transpose(-1, *range(x.ndim - 1))
+    counts = x.transpose(-1, *range(x.ndim - 1))  # (4, ...)
     return np.concatenate((12.0 - counts, counts - 60.0))
 
 
@@ -340,7 +340,5 @@ def constraint_report(pid: str, x) -> list:
     """
     entry = make_engineering(pid)
     point = as_point(x, entry.problem.dim)
-    report = []
-    for i, g in enumerate(entry.problem.constraint_values(point).tolist(), start=1):
-        report.append((i, g, g <= TOL_FEAS))
-    return report
+    values = entry.problem.constraint_values(point).tolist()
+    return [(i, g, g <= TOL_FEAS) for i, g in enumerate(values, start=1)]
