@@ -6,6 +6,9 @@ samples, tie-corrected normal approximation otherwise), the Friedman
 mean-rank procedure over a functions-by-algorithms table, win/tie/loss
 tallies, and the population-diversity measure used to split a run into
 exploration and exploitation phases.
+
+Only the Friedman p-value needs SciPy; ``friedman`` imports it on its first
+call, so importing this module (and the package) loads NumPy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 class EmptySample(ValueError):
@@ -256,8 +258,11 @@ def friedman(
     statistic = 12.0 * n / (m * (m + 1)) * (
         float(np.sum(mean_ranks**2)) - m * (m + 1) ** 2 / 4.0
     )
-    # chdtrc is the chi-square survival function; it returns NaN below
-    # zero, where the survival probability is 1.
+    # Imported at its only use so that importing the package and fitting
+    # never load SciPy. chdtrc is the chi-square survival function; it
+    # returns NaN below zero, where the survival probability is 1.
+    from scipy.special import chdtrc
+
     p_value = float(chdtrc(m - 1, max(statistic, 0.0)))
     return FriedmanResult(
         mean_ranks=mean_ranks,

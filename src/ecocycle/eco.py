@@ -218,29 +218,6 @@ def _group_pool(state: "EcoState", sl: slice):
     return (state.x[sl], cum)
 
 
-def herbivore_update(state: "EcoState", g, rng: np.random.Generator) -> np.ndarray:
-    """Candidate positions for the herbivores: three producer prey each."""
-    pool = _group_pool(state, state.sl_pro)
-    return _predation_candidates(state.x[state.sl_her], [(pool, 3)], g, rng)
-
-
-def carnivore_update(state: "EcoState", g, rng: np.random.Generator) -> np.ndarray:
-    """Candidate positions for the carnivores: three herbivore prey each."""
-    pool = _group_pool(state, state.sl_her)
-    return _predation_candidates(state.x[state.sl_car], [(pool, 3)], g, rng)
-
-
-def omnivore_update(state: "EcoState", g, rng: np.random.Generator) -> np.ndarray:
-    """Candidates for the omnivores: one producer, one herbivore, two
-    carnivores per individual."""
-    pools = [
-        (_group_pool(state, state.sl_pro), 1),
-        (_group_pool(state, state.sl_her), 1),
-        (_group_pool(state, state.sl_car), 2),
-    ]
-    return _predation_candidates(state.x[state.sl_omn], pools, g, rng)
-
-
 # Each decomposition strategy is one kernel over an (n, D) batch of rows;
 # the public decompose_* forms add the 1-D/2-D handling around it, while
 # decompose_candidates feeds the kernels its routed sub-batches directly and
@@ -357,9 +334,8 @@ def _best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int
     NaN or +inf, where argmin and the stable order can disagree, takes the
     full feasibility-first sort.
     """
-    # fmax skips NaN, so this is (viols > TOL_FEAS).any() without the Python
-    # wrapper behind ndarray.any.
-    if constrained and np.fmax.reduce(viols) > TOL_FEAS:
+    # A NaN violation fails the all-feasible test and counts as infeasible.
+    if constrained and not np.maximum.reduce(viols) <= TOL_FEAS:
         feasible = viols <= TOL_FEAS
         keys = np.where(feasible, values, np.inf) if feasible.any() else viols
         b = int(keys.argmin())
@@ -405,18 +381,14 @@ class EcoState:
 
     Rows of x are ordered producers, herbivores, carnivores, omnivores. The
     decomposer buffer holds the latest decomposition output until the next
-    producer re-selection consumes it. Personal bests coincide with current
-    rows under strict-improvement acceptance but are tracked explicitly.
-    pool_cums caches each prey group's roulette distribution by the group's
-    first row; whatever changes a group's rows drops its entry.
+    producer re-selection consumes it. pool_cums caches each prey group's
+    roulette distribution by the group's first row; whatever changes a
+    group's rows drops its entry.
     """
 
     x: np.ndarray
     values: np.ndarray
     viols: np.ndarray
-    pbest_x: np.ndarray
-    pbest_values: np.ndarray
-    pbest_viols: np.ndarray
     counts: tuple[int, int, int, int]
     best_x: np.ndarray
     best_value: float
@@ -497,9 +469,6 @@ def init_state(
         x=x,
         values=values,
         viols=viols,
-        pbest_x=x.copy(),
-        pbest_values=values.copy(),
-        pbest_viols=viols.copy(),
         counts=counts,
         best_x=x[b].copy(),
         best_value=float(values[b]),
@@ -533,11 +502,8 @@ def producer_update(state: EcoState) -> None:
     state.pool_cums.pop(state.sl_pro.start, None)
     if state.constrained:
         state.viols[:n_pro] = stack_viols.take(keep)
-        state.pbest_viols[:n_pro] = state.viols[:n_pro]
     state.x[:n_pro] = np.concatenate((state.x[:n_pro], state.dec_x)).take(keep, axis=0)
     state.values[:n_pro] = stack_values.take(keep)
-    state.pbest_x[:n_pro] = state.x[:n_pro]
-    state.pbest_values[:n_pro] = state.values[:n_pro]
 
 
 class EcoOptimizer(BaseOptimizer):
@@ -653,12 +619,8 @@ class EcoOptimizer(BaseOptimizer):
             state.pool_cums.pop(sl.start, None)
             if state.constrained:
                 np.copyto(state.viols[rows], viols, where=accepted)
-                np.copyto(state.pbest_viols[rows], viols, where=accepted)
-            accepted_rows = accepted[:, None]
-            np.copyto(state.x[rows], candidates, where=accepted_rows)
+            np.copyto(state.x[rows], candidates, where=accepted[:, None])
             np.copyto(state.values[rows], values, where=accepted)
-            np.copyto(state.pbest_x[rows], candidates, where=accepted_rows)
-            np.copyto(state.pbest_values[rows], values, where=accepted)
         self._track_best(state, candidates, values, viols)
         if granted < n:
             raise BudgetExhausted("budget ran dry during a consumer sweep")

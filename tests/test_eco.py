@@ -395,9 +395,6 @@ class TestProducerUpdate:
             x=x,
             values=values,
             viols=viols,
-            pbest_x=x.copy(),
-            pbest_values=values.copy(),
-            pbest_viols=viols.copy(),
             counts=counts,
             best_x=x[0].copy(),
             best_value=float(values.min()),
@@ -419,8 +416,6 @@ class TestProducerUpdate:
         assert state.x[:2].tolist() == [[1.0], [5.0]]
         # non-producer rows untouched
         assert state.values[2:].tolist() == values[2:].tolist()
-        # personal bests track the re-selected rows
-        assert state.pbest_values[:2].tolist() == [1.0, 5.0]
 
     def test_stable_ties_prefer_incumbent_producer(self):
         values = np.array([5.0, 9.0, 50, 51, 52, 53, 54, 55, 56, 57])
@@ -615,8 +610,9 @@ class TestEstimatorContract:
 
 
 def reference_best_index(values, viols, constrained):
-    """Best-index selection as it was before the argmin fast paths."""
-    if constrained and (viols > TOL_FEAS).any():
+    """Best-index selection by the full feasibility-first sort whenever some
+    row is infeasible; a NaN violation counts as infeasible."""
+    if constrained and not (viols <= TOL_FEAS).all():
         return int(argsort_by_compare(values, viols)[0])
     return int(values.argmin())
 
@@ -645,6 +641,12 @@ class TestFeasibilityFastPaths:
                 assert _best_index(values, viols, constrained) == reference_best_index(
                     values, viols, constrained
                 ), (values, viols, constrained)
+
+    def test_best_index_ranks_nan_violation_infeasible(self):
+        values = np.array([1.0, 0.0])
+        viols = np.array([0.0, np.nan])
+        assert int(argsort_by_compare(values, viols)[0]) == 0
+        assert _best_index(values, viols, True) == 0
 
     def test_improves_agrees_with_compare_batch(self):
         rng = np.random.default_rng(12)
