@@ -1,18 +1,19 @@
-"""Golden traces: seeded EcoOptimizer runs must reproduce recorded bytes.
+"""Golden traces: seeded optimizer runs must reproduce recorded bytes.
 
-`golden_eco.json` holds, per (problem, budget, seed), the final best_x_,
-best_value_, best_violation_ and n_fes_ plus a SHA-256 of every trace
-column. The fixtures were recorded from the optimizer before its hot loop
-was restructured for speed, so they guard the same-seed-same-bytes promise
-against the old code rather than against itself.
+`golden_eco.json` and `golden_pso.json` hold, per (problem, budget, seed),
+the final best_x_, best_value_, best_violation_ and n_fes_ plus a SHA-256 of
+every trace column. Each fixture was recorded from its optimizer before that
+optimizer's hot loop was restructured for speed, so they guard the
+same-seed-same-bytes promise against the old code rather than against itself.
 
-Re-record (`PYTHONPATH=src python tests/test_golden.py`) only for a change
-that alters seeded output on purpose and says why.
+Re-record (`PYTHONPATH=src python tests/test_golden.py eco|pso`) only for a
+change that alters seeded output on purpose and says why.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +22,13 @@ from ecocycle.classic import make_classic
 from ecocycle.eco import EcoOptimizer
 from ecocycle.engineering import make_engineering
 from ecocycle.problems import Bounds, Problem
+from ecocycle.pso import PsoOptimizer
 
-GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_eco.json")
+OPTIMIZERS = {"eco": EcoOptimizer, "pso": PsoOptimizer}
+
+
+def golden_path(alg: str) -> pathlib.Path:
+    return pathlib.Path(__file__).with_name(f"golden_{alg}.json")
 
 
 def sphere_with_region(dim, half_width, region, fill):
@@ -87,8 +93,8 @@ def column_digest(values, dtype: str) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype).tobytes()).hexdigest()
 
 
-def fingerprint(problem: Problem, max_fes: int, seed: int) -> dict:
-    opt = EcoOptimizer(max_fes=max_fes, seed=seed).fit(problem)
+def fingerprint(alg: str, problem: Problem, max_fes: int, seed: int) -> dict:
+    opt = OPTIMIZERS[alg](max_fes=max_fes, seed=seed).fit(problem)
     return {
         "seed": seed,
         "max_fes": max_fes,
@@ -103,9 +109,9 @@ def fingerprint(problem: Problem, max_fes: int, seed: int) -> dict:
     }
 
 
-def record() -> dict:
+def record(alg: str) -> dict:
     return {
-        case_id: [fingerprint(factory(), max_fes, seed) for seed in seeds]
+        case_id: [fingerprint(alg, factory(), max_fes, seed) for seed in seeds]
         for case_id, factory, max_fes, seeds in CASES
     }
 
@@ -115,25 +121,34 @@ def same(a, b) -> bool:
     return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float), equal_nan=True)
 
 
-def _golden() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())
+def _golden(alg: str) -> dict:
+    return json.loads(golden_path(alg).read_text())
 
 
 # The infinite-band cases push inf - inf through the roulette on purpose;
 # the RuntimeWarnings NumPy raises there are expected.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# ECO's ids carry no optimizer suffix: they predate the PSO fixture.
 @pytest.mark.parametrize(
-    "case_id, factory, max_fes, seed",
+    "alg, case_id, factory, max_fes, seed",
     [
-        pytest.param(case_id, factory, max_fes, seed, id=f"{case_id}-seed{seed}")
+        pytest.param(
+            alg,
+            case_id,
+            factory,
+            max_fes,
+            seed,
+            id=f"{case_id}-seed{seed}" + ("" if alg == "eco" else f"-{alg}"),
+        )
+        for alg in OPTIMIZERS
         for case_id, factory, max_fes, seeds in CASES
         for seed in seeds
     ],
 )
-def test_replays_recorded_run(case_id, factory, max_fes, seed):
-    expected = next(r for r in _golden()[case_id] if r["seed"] == seed)
+def test_replays_recorded_run(alg, case_id, factory, max_fes, seed):
+    expected = next(r for r in _golden(alg)[case_id] if r["seed"] == seed)
     assert expected["max_fes"] == max_fes
-    got = fingerprint(factory(), max_fes, seed)
+    got = fingerprint(alg, factory(), max_fes, seed)
     assert got["n_fes"] == expected["n_fes"]
     assert same(got["best_x"], expected["best_x"])
     assert same(got["best_value"], expected["best_value"])
@@ -142,12 +157,15 @@ def test_replays_recorded_run(case_id, factory, max_fes, seed):
 
 
 def test_fixture_covers_every_case():
-    golden = _golden()
-    assert set(golden) == {case_id for case_id, *_ in CASES}
-    for case_id, _, _, seeds in CASES:
-        assert sorted(r["seed"] for r in golden[case_id]) == sorted(seeds)
+    for alg in OPTIMIZERS:
+        golden = _golden(alg)
+        assert set(golden) == {case_id for case_id, *_ in CASES}, alg
+        for case_id, _, _, seeds in CASES:
+            assert sorted(r["seed"] for r in golden[case_id]) == sorted(seeds), alg
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(record(), indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    for alg in sys.argv[1:] or list(OPTIMIZERS):
+        path = golden_path(alg)
+        path.write_text(json.dumps(record(alg), indent=1) + "\n")
+        print(f"wrote {path}")
