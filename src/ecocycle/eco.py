@@ -43,7 +43,10 @@ from .problems import (
     EvalBudget,
     Problem,
     argsort_by_compare,
+    best_index,
     evaluate_batch,
+    improves,
+    is_better,
     resample_outside,
     sample_uniform,
 )
@@ -125,7 +128,8 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if viols is not None:
         viols = np.asarray(viols, dtype=float)
-    if viols is not None and bool(np.any(viols > TOL_FEAS)):
+    # A NaN violation fails the all-feasible test and counts as infeasible.
+    if viols is not None and not np.maximum.reduce(viols) <= TOL_FEAS:
         order = argsort_by_compare(values, viols)
         ranks = np.empty(values.shape[0], dtype=float)
         ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
@@ -139,8 +143,8 @@ def _roulette_cum(values, viols) -> np.ndarray:
     """Cumulative roulette distribution, ending at exactly 1.0 (or NaN when
     the pool's values are not finite), so that a uniform draw in [0, 1)
     always searches to a valid index."""
-    # fmax skips NaN, so this is np.any(viols > TOL_FEAS) without its wrapper.
-    if viols is not None and np.fmax.reduce(viols) > TOL_FEAS:
+    # roulette_probabilities' test: a NaN violation counts as infeasible.
+    if viols is not None and not np.maximum.reduce(viols) <= TOL_FEAS:
         cum = np.cumsum(roulette_probabilities(values, viols))
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
@@ -325,56 +329,6 @@ def decompose_candidates(
     return out
 
 
-def _best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
-    """Index of the compare-minimum; first occurrence wins ties.
-
-    When every row is feasible the feasibility-first order is the objective
-    order, so argmin decides. Otherwise argmin runs over the feasible values,
-    or over the violations when no row is feasible; only a minimum that is
-    NaN or +inf, where argmin and the stable order can disagree, takes the
-    full feasibility-first sort.
-    """
-    # A NaN violation fails the all-feasible test and counts as infeasible.
-    if constrained and not np.maximum.reduce(viols) <= TOL_FEAS:
-        feasible = viols <= TOL_FEAS
-        keys = np.where(feasible, values, np.inf) if feasible.any() else viols
-        b = int(keys.argmin())
-        if keys[b] < np.inf:
-            return b
-        return int(argsort_by_compare(values, viols)[0])
-    return int(values.argmin())
-
-
-def _improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndarray:
-    """Per row: does (values, viols) strictly beat (old_values, old_viols)
-    under feasibility-first rules? Box-only rows compare by value alone."""
-    better = values < old_values
-    # A NaN violation fails the all-feasible test and counts as infeasible.
-    if constrained and not (
-        np.maximum.reduce(viols) <= TOL_FEAS and np.maximum.reduce(old_viols) <= TOL_FEAS
-    ):
-        feasible = viols <= TOL_FEAS
-        # A change of class decides on its own; two infeasible rows compare
-        # by violation.
-        better = np.where(
-            feasible == (old_viols <= TOL_FEAS),
-            np.where(feasible, better, viols < old_viols),
-            feasible,
-        )
-    return better
-
-
-def _is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> bool:
-    """Scalar strict compare: does a beat b under feasibility-first rules?"""
-    feas_a = viol_a <= TOL_FEAS
-    feas_b = viol_b <= TOL_FEAS
-    if feas_a != feas_b:
-        return feas_a
-    if feas_a:
-        return value_a < value_b
-    return viol_a < viol_b
-
-
 @dataclasses.dataclass
 class EcoState:
     """Mutable run state: the partitioned population plus bookkeeping.
@@ -464,7 +418,7 @@ def init_state(
     x = sample_uniform(problem.bounds, pop_size, rng)
     _, values, viols = evaluate_batch(problem, x, budget, rng)
     constrained = problem.constrained
-    b = _best_index(values, viols, constrained)
+    b = best_index(values, viols, constrained)
     return EcoState(
         x=x,
         values=values,
@@ -589,7 +543,7 @@ class EcoOptimizer(BaseOptimizer):
             rng,
         )
         self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
-        b = _best_index(state.values, state.viols, state.constrained)
+        b = best_index(state.values, state.viols, state.constrained)
         state.iter_best_x = state.x[b].copy()
         state.iter_best_value = float(state.values[b])
         state.iter_best_viol = float(state.viols[b])
@@ -611,7 +565,7 @@ class EcoOptimizer(BaseOptimizer):
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
         candidates = candidates[:granted]
         rows = slice(sl.start, sl.start + granted)
-        accepted = _improves(
+        accepted = improves(
             values, viols, state.values[rows], state.viols[rows], state.constrained
         )
         # Most late-run sweeps accept nothing; skip the masked copies then.
@@ -629,9 +583,9 @@ class EcoOptimizer(BaseOptimizer):
     def _track_best(state, xs, values, viols) -> None:
         if values.shape[0] == 0:
             return
-        b = _best_index(values, viols, state.constrained)
+        b = best_index(values, viols, state.constrained)
         if state.constrained:
-            better = _is_better(values[b], viols[b], state.best_value, state.best_viol)
+            better = is_better(values[b], viols[b], state.best_value, state.best_viol)
         else:
             better = values[b] < state.best_value
         if better:

@@ -183,11 +183,9 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     if problem.constraint_values is None:
         return np.zeros(x.shape[:-1], dtype=float)
     parts = np.maximum(problem.constraint_values(x), 0.0)
-    # Fold the rows strictly in constraint order, from +0.0: a pairwise sum
-    # over the constraint axis would round differently.
-    total = np.zeros(parts.shape[1:])
-    for part in parts:
-        total += part
+    # Fold the rows strictly in constraint order: a pairwise sum over the
+    # constraint axis (np.sum, np.add.reduce) would round differently.
+    total = np.cumsum(parts, axis=0)[-1]
     # Every term is >= 0 or NaN, so the total is NaN exactly when some g_i is.
     return np.where(np.isnan(total), np.inf, total)
 
@@ -258,29 +256,72 @@ def compare(a: Evaluation, b: Evaluation) -> int:
     return 0
 
 
-def compare_batch(
-    values_a: np.ndarray,
-    viols_a: np.ndarray,
-    values_b: np.ndarray,
-    viols_b: np.ndarray,
-) -> np.ndarray:
-    """Vectorized compare over aligned arrays; returns -1/0/+1 per element."""
-    feas_a = viols_a <= TOL_FEAS
-    feas_b = viols_b <= TOL_FEAS
-    key_a = np.where(feas_a, values_a, viols_a)
-    key_b = np.where(feas_b, values_b, viols_b)
-    # Explicit comparisons rather than sign(a - b): inf - inf would poison
-    # the result with NaN when both sides are infinitely violated.
-    out = np.where(key_a < key_b, -1, np.where(key_a > key_b, 1, 0))
-    out = np.where(feas_a & ~feas_b, -1, out)
-    out = np.where(~feas_a & feas_b, 1, out)
-    return out
-
-
 def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
-    """Stable ascending order under compare (best first)."""
+    """Stable ascending order under compare (best first); a NaN key ranks
+    last within its feasibility class."""
     feasible = viols <= TOL_FEAS
     return np.lexsort((np.where(feasible, values, viols), ~feasible))
+
+
+# The three helpers below take the same decisions as compare and
+# argsort_by_compare with fewer NumPy calls; both optimizers use them.
+# `constrained` is False only when every violation is zero, and then the
+# feasibility-first order is the objective order. A NaN violation counts as
+# infeasible everywhere, because it fails `<= TOL_FEAS`.
+
+
+def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
+    """Index of the compare-minimum; first occurrence wins ties.
+
+    Equals argsort_by_compare(values, viols)[0] for every input. When every
+    row is feasible the feasibility-first order is the objective order, so
+    argmin decides. Otherwise argmin runs over the feasible values, or over
+    the violations when no row is feasible. Only a minimum that is NaN or
+    +inf, where argmin and the stable order can disagree, takes the full
+    feasibility-first sort.
+    """
+    if constrained and not np.maximum.reduce(viols) <= TOL_FEAS:
+        feasible = viols <= TOL_FEAS
+        keys = np.where(feasible, values, np.inf) if feasible.any() else viols
+        b = int(keys.argmin())
+        if keys[b] < np.inf:
+            return b
+        return int(argsort_by_compare(values, viols)[0])
+    b = int(values.argmin())
+    # argmin stops at the first NaN; the stable order ranks NaN last.
+    if values[b] == values[b]:
+        return b
+    return int(argsort_by_compare(values, viols)[0])
+
+
+def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndarray:
+    """Per row: does (values, viols) strictly beat (old_values, old_viols)
+    under feasibility-first rules? Box-only rows compare by value alone, so
+    nothing beats a NaN incumbent and a NaN never beats anything."""
+    better = values < old_values
+    if constrained and not (
+        np.maximum.reduce(viols) <= TOL_FEAS and np.maximum.reduce(old_viols) <= TOL_FEAS
+    ):
+        feasible = viols <= TOL_FEAS
+        # A change of class decides on its own; two infeasible rows compare
+        # by violation.
+        better = np.where(
+            feasible == (old_viols <= TOL_FEAS),
+            np.where(feasible, better, viols < old_viols),
+            feasible,
+        )
+    return better
+
+
+def is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> bool:
+    """Scalar strict compare: does a beat b under feasibility-first rules?"""
+    feas_a = viol_a <= TOL_FEAS
+    feas_b = viol_b <= TOL_FEAS
+    if feas_a != feas_b:
+        return feas_a
+    if feas_a:
+        return value_a < value_b
+    return viol_a < viol_b
 
 
 def sample_uniform(bounds: Bounds, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,19 +349,19 @@ def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -
     """
     xs = np.asarray(xs, dtype=float)
     # ufunc reductions skip the Python-level wrappers of ndarray.min/max/all.
-    # A NaN coordinate fails either test and reaches the row-wise path.
+    # A NaN coordinate fails every test and reaches the row-wise path.
     common = bounds._common_interval
-    if common is not None:
-        inside = common[0] <= np.minimum.reduce(xs, axis=None, initial=np.inf) and (
-            np.maximum.reduce(xs, axis=None, initial=-np.inf) <= common[1]
-        )
-    else:
-        inside = np.logical_and.reduce(xs >= bounds.lower, axis=None) and (
-            np.logical_and.reduce(xs <= bounds.upper, axis=None)
-        )
-    if inside:
+    if common is not None and (
+        common[0] <= np.minimum.reduce(xs, axis=None, initial=np.inf)
+        and np.maximum.reduce(xs, axis=None, initial=-np.inf) <= common[1]
+    ):
         return xs
-    outside = ~bounds.contains(xs)
+    # One pass builds the row mask; on a box without a common interval it
+    # is also the batch test.
+    inside = np.logical_and.reduce((xs >= bounds.lower) & (xs <= bounds.upper), axis=-1)
+    if common is None and np.logical_and.reduce(inside):
+        return xs
+    outside = ~inside
     out = xs.copy()
     k = int(np.count_nonzero(outside))
     out[outside] = bounds.lower + rng.random((k, bounds.dim)) * bounds.span

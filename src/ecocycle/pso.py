@@ -3,8 +3,9 @@
 The canonical velocity/position update with fixed inertia: one particle is
 one candidate, one function evaluation per particle per iteration, and the
 swarm shares a single global best. Constrained problems use the same
-feasibility-first comparison as the rest of the package, so the baseline is
-runnable on every shipped problem.
+feasibility-first helpers as ECO (`improves`, `best_index`, `is_better`), so
+the baseline is runnable on every shipped problem and ranks a NaN objective
+last when it picks a best.
 
 Two choices the update rule leaves open are pinned here: velocities start at
 zero, and are clamped per dimension to 20% of the box span (unclamped swarms
@@ -23,9 +24,10 @@ from .problems import (
     BudgetExhausted,
     EvalBudget,
     Problem,
-    argsort_by_compare,
-    compare_batch,
+    best_index,
     evaluate_batch,
+    improves,
+    is_better,
     resample_outside,
     sample_uniform,
 )
@@ -78,16 +80,18 @@ class PsoOptimizer(BaseOptimizer):
 
         x = sample_uniform(problem.bounds, pop, rng)
         _, values, viols = evaluate_batch(problem, x, budget, rng)
+        constrained = problem.constrained
         v = np.zeros_like(x)
         v_max = 0.2 * problem.bounds.span
+        neg_v_max = -v_max
 
         pbest_x = x.copy()
         pbest_values = values.copy()
         pbest_viols = viols.copy()
-        b = int(argsort_by_compare(pbest_values, pbest_viols)[0])
-        gbest_x = pbest_x[b].copy()
-        gbest_value = float(pbest_values[b])
-        gbest_viol = float(pbest_viols[b])
+        b = best_index(values, viols, constrained)
+        gbest_x = x[b].copy()
+        gbest_value = float(values[b])
+        gbest_viol = float(viols[b])
 
         recorder = TraceRecorder()
         recorder.record(0, budget.used, gbest_value, gbest_viol, population_diversity(x))
@@ -98,34 +102,27 @@ class PsoOptimizer(BaseOptimizer):
                 r1 = rng.random(x.shape)
                 r2 = rng.random(x.shape)
                 v = self.w * v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (gbest_x - x)
-                v = np.clip(v, -v_max, v_max)
+                # np.clip's bits (NaN included) without its Python wrapper.
+                v = np.minimum(np.maximum(v, neg_v_max), v_max)
                 x = resample_outside(x + v, problem.bounds, rng)
                 granted, values, viols = evaluate_batch(problem, x, budget, rng)
 
-                improved = np.flatnonzero(
-                    compare_batch(
-                        values[:granted],
-                        viols[:granted],
-                        pbest_values[:granted],
-                        pbest_viols[:granted],
-                    )
-                    < 0
+                better = improves(
+                    values, viols, pbest_values[:granted], pbest_viols[:granted], constrained
                 )
-                pbest_x[improved] = x[improved]
-                pbest_values[improved] = values[improved]
-                pbest_viols[improved] = viols[improved]
                 new_best = False
-                if improved.size:
-                    sub = argsort_by_compare(
-                        pbest_values[improved], pbest_viols[improved]
-                    )
-                    cand = int(improved[sub[0]])
-                    if compare_batch(
-                        pbest_values[cand], pbest_viols[cand], gbest_value, gbest_viol
-                    ) < 0:
-                        gbest_x = pbest_x[cand].copy()
-                        gbest_value = float(pbest_values[cand])
-                        gbest_viol = float(pbest_viols[cand])
+                if np.logical_or.reduce(better):
+                    # Box-only violations are all zero on both sides.
+                    if constrained:
+                        np.copyto(pbest_viols[:granted], viols, where=better)
+                    np.copyto(pbest_x[:granted], x[:granted], where=better[:, None])
+                    np.copyto(pbest_values[:granted], values, where=better)
+                    rows = np.flatnonzero(better)
+                    cand = rows[best_index(values[rows], viols[rows], constrained)]
+                    if is_better(values[cand], viols[cand], gbest_value, gbest_viol):
+                        gbest_x = x[cand].copy()
+                        gbest_value = float(values[cand])
+                        gbest_viol = float(viols[cand])
                         new_best = True
 
                 if granted < pop:

@@ -11,8 +11,6 @@ from ecocycle.eco import (
     DEFAULT_PROPORTIONS,
     EcoOptimizer,
     EcoState,
-    _best_index,
-    _improves,
     decompose_candidates,
     decompose_global,
     decompose_local,
@@ -36,8 +34,10 @@ from ecocycle.problems import (
     EvalBudget,
     Problem,
     argsort_by_compare,
-    compare_batch,
+    best_index,
+    improves,
 )
+from oracles import compare_batch
 
 
 class QueuedRng:
@@ -180,6 +180,14 @@ class TestRoulette:
         # feasible row 0 ranks first despite its worse objective
         p = roulette_probabilities(np.array([5.0, 1.0]), np.array([0.0, 1.0]))
         assert p == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+
+    def test_nan_violation_counts_as_infeasible(self):
+        # The NaN-violation row ranks second, as an infeasible row would.
+        values, viols = np.array([1.0, 0.0]), np.array([0.0, np.nan])
+        p = roulette_probabilities(values, viols)
+        assert p == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        # The cumulative form agrees: a draw of 0.5 lands on row 0.
+        assert roulette_select(values, viols, 2, QueuedRng([0.5, 0.7])).tolist() == [0, 1]
 
     def test_select_matches_probabilities(self):
         values = np.array([0.0, 1.0, 2.0])
@@ -609,12 +617,9 @@ class TestEstimatorContract:
         assert np.array_equal(trace.best_values, opt.trace_.best_values)
 
 
-def reference_best_index(values, viols, constrained):
-    """Best-index selection by the full feasibility-first sort whenever some
-    row is infeasible; a NaN violation counts as infeasible."""
-    if constrained and not (viols <= TOL_FEAS).all():
-        return int(argsort_by_compare(values, viols)[0])
-    return int(values.argmin())
+def reference_best_index(values, viols):
+    """Best-index selection by the full feasibility-first sort."""
+    return int(argsort_by_compare(values, viols)[0])
 
 
 class TestFeasibilityFastPaths:
@@ -638,15 +643,21 @@ class TestFeasibilityFastPaths:
             for constrained in (True, False):
                 if not constrained:
                     viols = np.zeros_like(viols)
-                assert _best_index(values, viols, constrained) == reference_best_index(
-                    values, viols, constrained
+                assert best_index(values, viols, constrained) == reference_best_index(
+                    values, viols
                 ), (values, viols, constrained)
 
     def test_best_index_ranks_nan_violation_infeasible(self):
         values = np.array([1.0, 0.0])
         viols = np.array([0.0, np.nan])
         assert int(argsort_by_compare(values, viols)[0]) == 0
-        assert _best_index(values, viols, True) == 0
+        assert best_index(values, viols, True) == 0
+
+    def test_best_index_ranks_nan_objective_last(self):
+        values = np.array([np.nan, 1.0, 0.5, np.nan])
+        for constrained in (True, False):
+            assert best_index(values, np.zeros(4), constrained) == 2
+        assert best_index(np.full(3, np.nan), np.zeros(3), False) == 0
 
     def test_improves_agrees_with_compare_batch(self):
         rng = np.random.default_rng(12)
@@ -655,8 +666,38 @@ class TestFeasibilityFastPaths:
             values, viols = self.draw(rng, n)
             old_values, old_viols = self.draw(rng, n)
             want = compare_batch(values, viols, old_values, old_viols) < 0
-            got = _improves(values, viols, old_values, old_viols, True)
+            got = improves(values, viols, old_values, old_viols, True)
             assert np.array_equal(got, want), (values, viols, old_values, old_viols)
+
+
+def sphere_nan_where(region, dim=5, half_width=100.0):
+    """Sphere whose objective is NaN inside region."""
+    return Problem(
+        "sphere_nan",
+        dim,
+        Bounds.symmetric(half_width, dim),
+        lambda x: np.where(region(x), np.nan, np.sum(np.square(x), axis=-1)),
+    )
+
+
+class TestNanObjective:
+    """Best selection ranks a NaN objective last, so a NaN region of the box
+    can neither become the best nor hide a better point evaluated beside it."""
+
+    def test_nan_in_initial_population(self):
+        # argmin used to pick the initial NaN and keep best_value_ = nan.
+        problem = sphere_nan_where(lambda x: x[..., 0] > 4)
+        opt = EcoOptimizer(max_fes=5000, seed=3).fit(problem)
+        assert opt.best_value_ == 7.471910442364105e-72
+        assert opt.trace_.best_values[-1] == opt.best_value_
+
+    def test_nan_beside_an_improvement(self):
+        # A batch holding a NaN used to drop its real improvement, ending at
+        # 0.25162 above the population's own minimum.
+        problem = sphere_nan_where(lambda x: np.abs(x[..., 0]) < 0.5)
+        opt = EcoOptimizer(max_fes=5000, seed=0).fit(problem)
+        assert opt.best_value_ == 0.2502469763868306
+        assert opt.best_value_ == np.nanmin(opt.state_.values)
 
 
 class TestBoxOnlyPathEquivalence:

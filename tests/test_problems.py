@@ -18,13 +18,13 @@ from ecocycle.problems import (
     batchable,
     clamp_or_resample,
     compare,
-    compare_batch,
     evaluate,
     evaluate_batch,
     resample_outside,
     sample_uniform,
     violation_of,
 )
+from oracles import compare_batch
 
 
 def sphere_problem(dim=2, half=5.0):
@@ -169,6 +169,36 @@ class TestViolation:
         with np.errstate(invalid="ignore"):
             v = violation_of(p, np.array([0.0]))
         assert np.isinf(v)
+
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (30,), (2, 3)])
+    def test_row_fold_matches_loop(self, batch):
+        # Oracle: fold the clipped rows one by one from +0.0, as a loop.
+        def loop_violation(g):
+            total = np.zeros(g.shape[1:])
+            for part in np.maximum(g, 0.0):
+                total += part
+            return np.where(np.isnan(total), np.inf, total)
+
+        rng = np.random.default_rng(len(batch) * 100 + sum(batch))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            g = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(m,) + batch)
+            mask = rng.random(g.shape) < 0.1
+            g[mask] = rng.choice(specials, size=int(mask.sum()))
+            p = Problem(
+                name="g",
+                dim=2,
+                bounds=Bounds.symmetric(1.0, 2),
+                objective=lambda x: np.sum(x, axis=-1),
+                constraint_values=lambda x, g=g: g,
+            )
+            with np.errstate(invalid="ignore"):
+                got = violation_of(p, np.zeros(batch + (2,)))
+                want = loop_violation(g)
+            assert type(got) is np.ndarray and got.shape == batch
+            assert got.tobytes() == want.tobytes(), g
 
 
 class TestCompare:

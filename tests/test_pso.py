@@ -145,3 +145,37 @@ class TestRunPso:
         problem = make_classic("f1", dim=2).problem
         _, _, trace = run_pso(problem, {"seed": 1, "max_fes": 300})
         assert trace.fes[-1] == 300
+
+
+class TestBoxOnlyPathEquivalence:
+    """The swarm takes no box-only branch of its own: a box-only problem and
+    the same problem with a constraint satisfied everywhere take the same
+    decisions in the feasibility-first helpers, so both runs match to the
+    last bit."""
+
+    @staticmethod
+    def _always_satisfied(problem):
+        return dataclasses.replace(
+            problem,
+            name=problem.name + "_g",
+            constraint_values=lambda x: np.full((1,) + x.shape[:-1], -1.0),
+        )
+
+    @pytest.mark.parametrize(
+        "fid, dim, max_fes, seed",
+        [("f1", 30, 6000, 7), ("f8", 5, 3000, 3), ("f9", 10, 4000, 5)],
+    )
+    def test_identical_runs(self, fid, dim, max_fes, seed):
+        problem = make_classic(fid, dim=dim).problem
+        constrained_problem = self._always_satisfied(problem)
+        assert not problem.constrained and constrained_problem.constrained
+        box = PsoOptimizer(max_fes=max_fes, seed=seed).fit(problem)
+        constrained = PsoOptimizer(max_fes=max_fes, seed=seed).fit(constrained_problem)
+        assert np.array_equal(box.best_x_, constrained.best_x_)
+        assert box.best_value_ == constrained.best_value_
+        assert box.best_violation_ == constrained.best_violation_ == 0.0
+        assert box.n_fes_ == constrained.n_fes_
+        for name in ("iters", "fes", "best_values", "best_viols", "div"):
+            assert np.array_equal(
+                getattr(box.trace_, name), getattr(constrained.trace_, name)
+            ), name
