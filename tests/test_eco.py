@@ -693,7 +693,7 @@ class TestNanObjective:
 
     def test_nan_beside_an_improvement(self):
         # A batch holding a NaN used to drop its real improvement, ending at
-        # 0.25162 above the population's own minimum.
+        # 0.25162, above the population's own minimum.
         problem = sphere_nan_where(lambda x: np.abs(x[..., 0]) < 0.5)
         opt = EcoOptimizer(max_fes=5000, seed=0).fit(problem)
         assert opt.best_value_ == 0.2502469763868306
