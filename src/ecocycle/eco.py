@@ -584,11 +584,7 @@ class EcoOptimizer(BaseOptimizer):
         if values.shape[0] == 0:
             return
         b = best_index(values, viols, state.constrained)
-        if state.constrained:
-            better = is_better(values[b], viols[b], state.best_value, state.best_viol)
-        else:
-            better = values[b] < state.best_value
-        if better:
+        if is_better(values[b], viols[b], state.best_value, state.best_viol):
             state.best_x = np.array(xs[b])
             state.best_value = float(values[b])
             state.best_viol = float(viols[b])

@@ -243,15 +243,13 @@ def compare(a: Evaluation, b: Evaluation) -> int:
     """Feasibility-first ordering: -1 if a is better, +1 if b is, 0 on a tie.
 
     A feasible point beats an infeasible one; two feasible points compare by
-    objective value; two infeasible points compare by total violation. Exact
-    equality on the deciding key is a tie.
+    objective value; two infeasible points compare by total violation. A NaN
+    key ranks last within its feasibility class. Exact equality on the
+    deciding key, or two NaN keys, is a tie.
     """
-    if a.feasible != b.feasible:
-        return -1 if a.feasible else 1
-    key_a, key_b = (a.value, b.value) if a.feasible else (a.violation, b.violation)
-    if key_a < key_b:
+    if is_better(a.value, a.violation, b.value, b.violation):
         return -1
-    if key_a > key_b:
+    if is_better(b.value, b.violation, a.value, a.violation):
         return 1
     return 0
 
@@ -294,11 +292,22 @@ def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
     return int(argsort_by_compare(values, viols)[0])
 
 
+def _less_nan_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a < b per element, where NaN ranks above every other value."""
+    less = a < b
+    # np.maximum propagates NaN, so one reduction finds a NaN in b.
+    top = np.maximum.reduce(b, initial=-np.inf)
+    if top != top:
+        less |= (b != b) & (a == a)
+    return less
+
+
 def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndarray:
     """Per row: does (values, viols) strictly beat (old_values, old_viols)
-    under feasibility-first rules? Box-only rows compare by value alone, so
-    nothing beats a NaN incumbent and a NaN never beats anything."""
-    better = values < old_values
+    under feasibility-first rules? A NaN key ranks last within its class, as
+    in argsort_by_compare: every other key beats a NaN incumbent, and a NaN
+    beats nothing."""
+    better = _less_nan_last(values, old_values)
     if constrained and not (
         np.maximum.reduce(viols) <= TOL_FEAS and np.maximum.reduce(old_viols) <= TOL_FEAS
     ):
@@ -307,21 +316,21 @@ def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndar
         # by violation.
         better = np.where(
             feasible == (old_viols <= TOL_FEAS),
-            np.where(feasible, better, viols < old_viols),
+            np.where(feasible, better, _less_nan_last(viols, old_viols)),
             feasible,
         )
     return better
 
 
 def is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> bool:
-    """Scalar strict compare: does a beat b under feasibility-first rules?"""
+    """Scalar strict compare: does a beat b under feasibility-first rules?
+    A NaN key ranks last within its class, as in improves."""
     feas_a = viol_a <= TOL_FEAS
     feas_b = viol_b <= TOL_FEAS
     if feas_a != feas_b:
         return feas_a
-    if feas_a:
-        return value_a < value_b
-    return viol_a < viol_b
+    key_a, key_b = (value_a, value_b) if feas_a else (viol_a, viol_b)
+    return key_a < key_b or (key_b != key_b and key_a == key_a)
 
 
 def sample_uniform(bounds: Bounds, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,9 +15,14 @@ def compare_batch(values_a, viols_a, values_b, viols_b) -> np.ndarray:
     feas_b = viols_b <= TOL_FEAS
     key_a = np.where(feas_a, values_a, viols_a)
     key_b = np.where(feas_b, values_b, viols_b)
+    nan_a = np.isnan(key_a)
+    nan_b = np.isnan(key_b)
     # Explicit comparisons rather than sign(a - b): inf - inf would poison
-    # the result with NaN when both sides are infinitely violated.
-    out = np.where(key_a < key_b, -1, np.where(key_a > key_b, 1, 0))
+    # the result with NaN when both sides are infinitely violated. A NaN
+    # key ranks last within its feasibility class; two NaN keys tie.
+    less = (key_a < key_b) | (nan_b & ~nan_a)
+    greater = (key_a > key_b) | (nan_a & ~nan_b)
+    out = np.where(less, -1, np.where(greater, 1, 0))
     out = np.where(feas_a & ~feas_b, -1, out)
     out = np.where(~feas_a & feas_b, 1, out)
     return out

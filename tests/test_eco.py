@@ -36,6 +36,7 @@ from ecocycle.problems import (
     argsort_by_compare,
     best_index,
     improves,
+    is_better,
 )
 from oracles import compare_batch
 
@@ -669,6 +670,37 @@ class TestFeasibilityFastPaths:
             got = improves(values, viols, old_values, old_viols, True)
             assert np.array_equal(got, want), (values, viols, old_values, old_viols)
 
+    def test_box_only_improves_agrees_with_compare_batch(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5000):
+            n = int(rng.integers(1, 10))
+            values, _ = self.draw(rng, n)
+            old_values, _ = self.draw(rng, n)
+            zeros = np.zeros(n)
+            want = compare_batch(values, zeros, old_values, zeros) < 0
+            got = improves(values, zeros, old_values, zeros, False)
+            assert np.array_equal(got, want), (values, old_values)
+
+    def test_is_better_agrees_with_compare_batch(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            (a, b), (va, vb) = self.draw(rng, 2)
+            want = bool(compare_batch(a, va, b, vb) < 0)
+            assert is_better(float(a), float(va), float(b), float(vb)) == want, (a, va, b, vb)
+
+    def test_nan_incumbent_loses(self):
+        # Every non-NaN key beats a NaN incumbent in its class; NaN beats nothing.
+        old = np.array([np.nan, np.nan, 1.0, np.nan])
+        new = np.array([np.inf, np.nan, np.nan, -1.0])
+        zeros = np.zeros(4)
+        for constrained in (True, False):
+            assert improves(new, zeros, old, zeros, constrained).tolist() == [
+                True, False, False, True
+            ]
+        assert is_better(5.0, 0.0, math.nan, 0.0)
+        assert not is_better(math.nan, 0.0, 5.0, 0.0)
+        assert not is_better(math.nan, 0.0, math.nan, 0.0)
+
 
 def sphere_nan_where(region, dim=5, half_width=100.0):
     """Sphere whose objective is NaN inside region."""
@@ -681,14 +713,28 @@ def sphere_nan_where(region, dim=5, half_width=100.0):
 
 
 class TestNanObjective:
-    """Best selection ranks a NaN objective last, so a NaN region of the box
-    can neither become the best nor hide a better point evaluated beside it."""
+    """Best selection and acceptance rank a NaN objective last, so a NaN
+    region of the box can neither become the best, nor hide a better point
+    evaluated beside it, nor keep a NaN incumbent in place."""
 
     def test_nan_in_initial_population(self):
         # argmin used to pick the initial NaN and keep best_value_ = nan.
+        # Initial rows that are NaN now give way to any finite candidate,
+        # which moved this run from 7.471910442364105e-72.
         problem = sphere_nan_where(lambda x: x[..., 0] > 4)
         opt = EcoOptimizer(max_fes=5000, seed=3).fit(problem)
-        assert opt.best_value_ == 7.471910442364105e-72
+        assert opt.best_value_ == 7.247813278521219e-72
+        assert opt.trace_.best_values[-1] == opt.best_value_
+
+    def test_nan_incumbent_is_replaced(self):
+        # Acceptance used to compare with a bare `<`, so a NaN row or best
+        # was never replaced: with the whole initial population NaN, this
+        # fit reported nan while its final population held 25.23.
+        problem = sphere_nan_where(lambda x: x[..., 0] > -5, dim=3, half_width=10.0)
+        opt = EcoOptimizer(pop_size=4, max_fes=2000, seed=5).fit(problem)
+        assert math.isnan(opt.trace_.best_values[0])
+        assert math.isfinite(opt.best_value_)
+        assert opt.best_value_ <= np.nanmin(opt.state_.values)
         assert opt.trace_.best_values[-1] == opt.best_value_
 
     def test_nan_beside_an_improvement(self):

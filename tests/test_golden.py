@@ -7,7 +7,8 @@ optimizer's hot loop was restructured for speed, so they guard the
 same-seed-same-bytes promise against the old code rather than against itself.
 
 Re-record (`PYTHONPATH=src python tests/test_golden.py eco|pso`) only for a
-change that alters seeded output on purpose and says why.
+change that alters seeded output on purpose and says why. Add `--diff` to
+print every fixture key that a re-record would change, without writing.
 """
 
 import hashlib
@@ -125,6 +126,44 @@ def _golden(alg: str) -> dict:
     return json.loads(golden_path(alg).read_text())
 
 
+def _flatten(entry: dict, prefix: str = "") -> dict:
+    """Nested fixture dict -> {"a.b": leaf}."""
+    flat = {}
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _same_leaf(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return same(a, b)
+
+
+def diff(old: dict, new: dict) -> list:
+    """One line per fixture key whose value differs between two recordings,
+    as "<case> seed <seed>: <key>: <old> -> <new>"; a key or case present on
+    one side only counts as changed too."""
+    lines = []
+    for case_id in list(new) + [c for c in old if c not in new]:
+        if case_id not in old or case_id not in new:
+            lines.append(f"{case_id}: case {'added' if case_id in new else 'removed'}")
+            continue
+        old_runs = {r["seed"]: _flatten(r) for r in old[case_id]}
+        new_runs = {r["seed"]: _flatten(r) for r in new[case_id]}
+        for seed in sorted(set(old_runs) | set(new_runs)):
+            a, b = old_runs.get(seed, {}), new_runs.get(seed, {})
+            for key in sorted(set(a) | set(b)):
+                if key not in a or key not in b or not _same_leaf(a[key], b[key]):
+                    lines.append(
+                        f"{case_id} seed {seed}: {key}: {a.get(key, '-')} -> {b.get(key, '-')}"
+                    )
+    return lines
+
+
 # The infinite-band cases push inf - inf through the roulette on purpose;
 # the RuntimeWarnings NumPy raises there are expected.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -165,7 +204,16 @@ def test_fixture_covers_every_case():
 
 
 if __name__ == "__main__":
-    for alg in sys.argv[1:] or list(OPTIMIZERS):
+    args = sys.argv[1:]
+    show_diff = "--diff" in args
+    for alg in [a for a in args if a != "--diff"] or list(OPTIMIZERS):
         path = golden_path(alg)
-        path.write_text(json.dumps(record(alg), indent=1) + "\n")
-        print(f"wrote {path}")
+        fresh = record(alg)
+        if show_diff:
+            lines = diff(_golden(alg), fresh)
+            print(f"{path.name}: {len(lines)} key(s) would change")
+            for line in lines:
+                print(f"  {line}")
+        else:
+            path.write_text(json.dumps(fresh, indent=1) + "\n")
+            print(f"wrote {path}")

@@ -225,6 +225,15 @@ class TestCompare:
     def test_both_infinitely_violated(self):
         assert compare(self.e(0.0, np.inf), self.e(1.0, np.inf)) == 0
 
+    def test_nan_key_ranks_last_in_its_class(self):
+        nan = float("nan")
+        assert compare(self.e(np.inf), self.e(nan)) == -1
+        assert compare(self.e(nan), self.e(np.inf)) == 1
+        assert compare(self.e(nan), self.e(nan)) == 0
+        assert compare(self.e(nan), self.e(0.0, viol=1.0)) == -1
+        assert compare(self.e(0.0, np.inf), self.e(0.0, nan)) == -1
+        assert compare(self.e(0.0, nan), self.e(0.0, nan)) == 0
+
     @given(
         st.lists(
             st.tuples(

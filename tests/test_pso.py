@@ -8,7 +8,7 @@ import pytest
 from ecocycle.classic import make_classic
 from ecocycle.engineering import make_engineering
 from ecocycle.pso import PsoOptimizer, run_pso
-from ecocycle.problems import BudgetExhausted
+from ecocycle.problems import Bounds, BudgetExhausted, Problem
 
 
 class TestDefaults:
@@ -89,6 +89,20 @@ class TestFitMechanics:
         with pytest.raises(BudgetExhausted):
             PsoOptimizer(max_fes=29, seed=0).fit(wrapped)
         assert calls == []
+
+    def test_nan_incumbents_are_replaced(self):
+        # Personal and global bests that start NaN give way to the first
+        # finite evaluation; a bare `<` kept them NaN for the whole run.
+        problem = Problem(
+            "sphere_nan",
+            3,
+            Bounds.symmetric(10.0, 3),
+            lambda x: np.where(x[..., 0] > -5, np.nan, np.sum(np.square(x), axis=-1)),
+        )
+        opt = PsoOptimizer(pop_size=4, max_fes=2000, seed=5).fit(problem)
+        assert np.isnan(opt.trace_.best_values[0])
+        assert np.isfinite(opt.best_value_)
+        assert opt.trace_.best_values[-1] == opt.best_value_
 
     def test_invalid_pop_size(self):
         with pytest.raises(ValueError):
