@@ -41,13 +41,16 @@ def sphere_with_region(dim, half_width, region, fill):
     return Problem("sphere_region", dim, Bounds.symmetric(half_width, dim), objective)
 
 
-# (case id, problem factory, max_fes, seeds). The tiny f1 budget runs dry
-# inside the first decomposition sweep, exercising the truncated path. The
-# region cases pin behaviour on non-finite objectives: NaN in the initial
-# population, NaN met only near the optimum, and +/-inf bands.
+# (case id, problem factory, max_fes, seeds). With a budget of 100 PSO runs
+# dry inside its third sweep, while ECO spends 84 evaluations on one full
+# iteration and stops there, because a second one would not fit. A budget of
+# 83 ends ECO inside its first iteration, before the decomposition sweep is
+# whole. The region cases pin behaviour on non-finite objectives: NaN in the
+# initial population, NaN met only near the optimum, and +/-inf bands.
 CASES = (
     ("f1_d5", lambda: make_classic("f1", dim=5).problem, 3000, (1, 2)),
     ("f1_d5_truncated", lambda: make_classic("f1", dim=5).problem, 100, (1, 2)),
+    ("f1_d5_partial", lambda: make_classic("f1", dim=5).problem, 83, (1, 2)),
     ("f1_d30", lambda: make_classic("f1", dim=30).problem, 6000, (7, 8)),
     ("f8_d5", lambda: make_classic("f8", dim=5).problem, 3000, (3, 4)),
     ("rc15", lambda: make_engineering("rc15").problem, 5000, (1, 2)),
