@@ -22,7 +22,8 @@ omnivores (20/30/30/20 by default). Each iteration runs four phases:
 
 The iteration ceiling is derived from the evaluation budget; a budget that
 runs dry mid-sweep ends the run after the evaluations that were still
-affordable.
+affordable, and that partial iteration gets a trace row when it moved the
+global best.
 """
 
 from __future__ import annotations
@@ -502,6 +503,7 @@ class EcoOptimizer(BaseOptimizer):
         try:
             for k in range(1, state.k_max + 1):
                 state.k = k
+                best_x = state.best_x
                 self._iterate(problem, state, budget, rng)
                 recorder.record(
                     k,
@@ -511,7 +513,17 @@ class EcoOptimizer(BaseOptimizer):
                     population_diversity(state.x),
                 )
         except BudgetExhausted:
-            pass
+            # A partial last iteration that moved the global best (which
+            # _track_best replaces, never edits) gets its own row, so the
+            # trace ends at the reported best.
+            if state.best_x is not best_x:
+                recorder.record(
+                    state.k,
+                    budget.used,
+                    state.best_value,
+                    state.best_viol,
+                    population_diversity(state.x),
+                )
         self.state_ = state
         self.trace_ = recorder.freeze()
         self.best_x_ = state.best_x.copy()

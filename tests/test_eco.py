@@ -524,6 +524,33 @@ class TestEcoOptimizerFit:
             opt = EcoOptimizer(max_fes=max_fes, seed=3).fit(problem)
             assert opt.n_fes_ <= max_fes
 
+    def test_partial_iteration_that_improves_is_recorded(self):
+        # The budget runs dry inside iteration 1; its row used to be
+        # dropped, so the trace ended at 7544.64 above the reported best.
+        problem = make_classic("f1", dim=5).problem
+        opt = EcoOptimizer(max_fes=83, seed=1).fit(problem)
+        assert opt.trace_.iters.tolist() == [0, 1]
+        assert opt.trace_.fes.tolist() == [30, 83]
+        assert opt.best_value_ == 80.88381508327848
+        assert opt.trace_.best_values[-1] == opt.best_value_
+        assert opt.n_iters_ == 1
+
+    def test_partial_iteration_without_improvement_adds_no_row(self):
+        problem = make_classic("f1", dim=5).problem
+        opt = EcoOptimizer(max_fes=31, seed=0).fit(problem)
+        assert opt.n_fes_ == 31
+        assert opt.trace_.iters.tolist() == [0]
+        assert opt.trace_.best_values[-1] == opt.best_value_
+
+    def test_budget_below_population_raises_from_fit(self):
+        # Documented behaviour: no run starts without one evaluation per
+        # member, and the internal BudgetExhausted reaches the caller.
+        problem = make_classic("f1", dim=5).problem
+        with pytest.raises(BudgetExhausted):
+            EcoOptimizer(max_fes=29, seed=0).fit(problem)
+        with pytest.raises(BudgetExhausted):
+            EcoOptimizer(pop_size=4, max_fes=3, seed=0).fit(problem)
+
     def test_trace_monotone_and_fes_increasing(self):
         problem = make_classic("f9", dim=6).problem
         opt = EcoOptimizer(max_fes=3000, seed=4).fit(problem)
