@@ -145,26 +145,25 @@ def _roulette_cum(values, viols) -> np.ndarray:
     the pool's values are not finite), so that a uniform draw in [0, 1)
     always searches to a valid index."""
     # roulette_probabilities' test: a NaN violation counts as infeasible.
-    if viols is not None and not np.maximum.reduce(viols) <= TOL_FEAS:
+    # The elements at argmax and argmin are the pool's extremes, read for
+    # less than a ufunc reduction; both stop at the first NaN, as one does.
+    if viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS:
         cum = np.cumsum(roulette_probabilities(values, viols))
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
-    # ufunc reductions skip the Python wrappers behind ndarray.min/max,
-    # which cost more than the arithmetic on a pool of a few rows.
-    lo = float(np.minimum.reduce(values))
-    hi = float(np.maximum.reduce(values))
+    lo = values.item(values.argmin())
+    hi = values.item(values.argmax())
     cum = (1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12))).cumsum()
     cum /= cum[-1]
     return cum
 
 
-def _select_from_cum(cum: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
-    return cum.searchsorted(rng.random(size), side="left")
-
-
 def roulette_select(values, viols, size, rng: np.random.Generator) -> np.ndarray:
     """Sample indices with replacement, cumulative-scan style."""
-    return _select_from_cum(_roulette_cum(values, viols), size, rng)
+    values = np.asarray(values, dtype=float)
+    if viols is not None:
+        viols = np.asarray(viols, dtype=float)
+    return _roulette_cum(values, viols).searchsorted(rng.random(size), side="left")
 
 
 def predation_step(x, preys, rands, g) -> np.ndarray:
@@ -194,15 +193,21 @@ def _predation_candidates(x, pools, g, rng: np.random.Generator) -> np.ndarray:
     prey indices per pool from the pool's cumulative roulette distribution,
     then one fresh scalar per prey term weights that prey's difference
     vector. All index draws happen pool by pool before the weight block is
-    drawn.
+    drawn; one rng.random call yields them all, and Generator.random fills
+    in order, so these are the doubles that one call per block would give.
     """
     n = x.shape[0]
-    gathered = [
-        pool_x.take(_select_from_cum(cum, (n, draws), rng), axis=0)  # (n, draws, D)
-        for (pool_x, cum), draws in pools
-    ]
+    width = sum(draws for _, draws in pools)
+    u = rng.random(2 * n * width)
+    gathered = []
+    start = 0
+    for (pool_x, cum), draws in pools:
+        stop = start + n * draws
+        index = cum.searchsorted(u[start:stop].reshape(n, draws), side="left")
+        gathered.append(pool_x.take(index, axis=0))  # (n, draws, D)
+        start = stop
     prey = gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1)
-    rands = rng.random((n, prey.shape[1]))
+    rands = u[start:].reshape(n, width)
     # sum_t r_t (prey_t - x) = sum_t r_t prey_t - (sum_t r_t) x, which
     # avoids materializing the (n, draws, D) difference tensor.
     step = np.einsum("nt,ntd->nd", rands, prey)
@@ -240,7 +245,8 @@ def _local_kernel(xs, x_bestk, rng, out=None) -> np.ndarray:
     n, d = xs.shape
     v = 2.0 * rng.random((n, d)) - 1.0
     sq = np.einsum("nd,nd->n", v, v)
-    while not np.logical_and.reduce(sq):
+    # sq >= 0, so the element at argmin is 0.0 exactly when some row is.
+    while sq.item(sq.argmin()) == 0.0:
         rows = sq == 0.0
         v[rows] = 2.0 * rng.random((int(rows.sum()), d)) - 1.0
         sq = np.einsum("nd,nd->n", v, v)
@@ -445,8 +451,9 @@ def producer_update(state: EcoState) -> None:
     stack_values = np.concatenate((state.values[:n_pro], state.dec_values))
     if state.constrained:
         stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
-    # A NaN violation fails the all-feasible test and counts as infeasible.
-    if state.constrained and not np.maximum.reduce(stack_viols) <= TOL_FEAS:
+    # A NaN violation fails the all-feasible test and counts as infeasible;
+    # argmax, like a reduction, stops at the first NaN.
+    if state.constrained and not stack_viols.item(stack_viols.argmax()) <= TOL_FEAS:
         keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
     else:
         # Every row is feasible, so the feasibility class is constant and a
@@ -580,26 +587,30 @@ class EcoOptimizer(BaseOptimizer):
         accepted = improves(
             values, viols, state.values[rows], state.viols[rows], state.constrained
         )
-        # Most late-run sweeps accept nothing; skip the masked copies then.
-        if np.logical_or.reduce(accepted):
+        # Most late-run sweeps accept nothing; skip the masked copies then,
+        # and the best tracking too: the global best is never worse than any
+        # row, so under the one order of improves, best_index and is_better
+        # a candidate that cannot beat its row cannot beat the best. The
+        # element at argmax is True exactly when some row was accepted.
+        if accepted.item(accepted.argmax()):
             state.pool_cums.pop(sl.start, None)
             if state.constrained:
                 np.copyto(state.viols[rows], viols, where=accepted)
             np.copyto(state.x[rows], candidates, where=accepted[:, None])
             np.copyto(state.values[rows], values, where=accepted)
-        self._track_best(state, candidates, values, viols)
+            self._track_best(state, candidates, values, viols)
         if granted < n:
             raise BudgetExhausted("budget ran dry during a consumer sweep")
 
     @staticmethod
     def _track_best(state, xs, values, viols) -> None:
-        if values.shape[0] == 0:
-            return
         b = best_index(values, viols, state.constrained)
-        if is_better(values[b], viols[b], state.best_value, state.best_viol):
-            state.best_x = np.array(xs[b])
-            state.best_value = float(values[b])
-            state.best_viol = float(viols[b])
+        # Python floats compare faster than NumPy scalars.
+        value, viol = values.item(b), viols.item(b)
+        if is_better(value, viol, state.best_value, state.best_viol):
+            state.best_x = xs[b].copy()
+            state.best_value = value
+            state.best_viol = viol
 
 
 def run(problem: Problem, **params) -> tuple[np.ndarray, float, RunTrace]:

@@ -24,6 +24,9 @@ import numpy as np
 from .classic import UnknownFunction
 from .problems import TOL_FEAS, Bounds, Problem, as_point
 
+# The double that np.sqrt(2.0) gives, computed once.
+_SQRT2 = np.sqrt(2.0)
+
 
 # --- speed reducer (rc15) --------------------------------------------------
 
@@ -132,6 +135,7 @@ _BEAM_G = 12.0e6
 _TAU_MAX = 13600.0
 _SIGMA_MAX = 30000.0
 _DELTA_MAX = 0.25
+_BEAM_SHEAR_RATIO = np.sqrt(_BEAM_E / (4.0 * _BEAM_G))
 
 
 def _beam_objective(x):
@@ -144,11 +148,11 @@ def _beam_constraints(x):
     # minimum weld size, cost cap.
     x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     g = np.empty((7,) + x.shape[:-1])
-    tau_p = _BEAM_P / (np.sqrt(2.0) * x1 * x2)
+    tau_p = _BEAM_P / (_SQRT2 * x1 * x2)
     moment = _BEAM_P * (_BEAM_L + x2 / 2.0)
     radius_sq = x2**2 / 4.0 + ((x1 + x3) / 2.0) ** 2
     radius = np.sqrt(radius_sq)
-    polar = 2.0 * np.sqrt(2.0) * x1 * x2 * radius_sq
+    polar = 2.0 * _SQRT2 * x1 * x2 * radius_sq
     tau_pp = moment * radius / polar
     shear = np.sqrt(tau_p**2 + 2.0 * tau_p * tau_pp * x2 / (2.0 * radius) + tau_pp**2)
     x3sq = x3**2
@@ -157,7 +161,7 @@ def _beam_constraints(x):
         * _BEAM_E
         * np.sqrt(x3sq * x4**6 / 36.0)
         / _BEAM_L**2
-        * (1.0 - x3 / (2.0 * _BEAM_L) * np.sqrt(_BEAM_E / (4.0 * _BEAM_G)))
+        * (1.0 - x3 / (2.0 * _BEAM_L) * _BEAM_SHEAR_RATIO)
     )
     g[0] = shear - _TAU_MAX
     g[1] = 6.0 * _BEAM_P * _BEAM_L / (x4 * x3sq) - _SIGMA_MAX
@@ -201,7 +205,7 @@ _TRUSS_SIGMA = 2.0
 
 
 def _truss_objective(x):
-    return (2.0 * np.sqrt(2.0) * x[..., 0] + x[..., 1]) * _TRUSS_L
+    return (2.0 * _SQRT2 * x[..., 0] + x[..., 1]) * _TRUSS_L
 
 
 def _truss_constraints(x):
@@ -211,10 +215,10 @@ def _truss_constraints(x):
     x1, x2 = x[..., 0], x[..., 1]
     g = np.empty((3,) + x.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        load_path = np.sqrt(2.0) * x1**2 + 2.0 * x1 * x2
-        g[0] = (np.sqrt(2.0) * x1 + x2) / load_path
+        load_path = _SQRT2 * x1**2 + 2.0 * x1 * x2
+        g[0] = (_SQRT2 * x1 + x2) / load_path
         g[1] = x2 / load_path
-        g[2] = 1.0 / (x1 + np.sqrt(2.0) * x2)
+        g[2] = 1.0 / (x1 + _SQRT2 * x2)
     # Each row is its stress ratio times the load, less the stress limit.
     g *= _TRUSS_P
     g -= _TRUSS_SIGMA

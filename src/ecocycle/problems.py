@@ -183,11 +183,17 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     if problem.constraint_values is None:
         return np.zeros(x.shape[:-1], dtype=float)
     parts = np.maximum(problem.constraint_values(x), 0.0)
-    # Fold the rows strictly in constraint order: a pairwise sum over the
-    # constraint axis (np.sum, np.add.reduce) would round differently.
-    total = np.cumsum(parts, axis=0)[-1]
-    # Every term is >= 0 or NaN, so the total is NaN exactly when some g_i is.
-    return np.where(np.isnan(total), np.inf, total)
+    # Fold the rows strictly in constraint order, in place: a pairwise sum
+    # over the constraint axis (np.sum, np.add.reduce) would round
+    # differently. The Ellipsis keeps one point's total a 0-d array.
+    total = np.add.accumulate(parts, axis=0, out=parts)[-1, ...]
+    # Every term is >= 0 or NaN, so a total is NaN exactly when some g_i is,
+    # and argmax stops at the first NaN.
+    if total.size:
+        top = total.item(total.argmax())
+        if top != top:
+            np.copyto(total, np.inf, where=total != total)
+    return total
 
 
 def evaluate(
@@ -278,16 +284,19 @@ def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
     +inf, where argmin and the stable order can disagree, takes the full
     feasibility-first sort.
     """
-    if constrained and not np.maximum.reduce(viols) <= TOL_FEAS:
+    # A yes/no test over a batch reads the element at argmax/argmin, which
+    # costs less than a ufunc reduction and, like one, stops at a NaN.
+    if constrained and not viols.item(viols.argmax()) <= TOL_FEAS:
         feasible = viols <= TOL_FEAS
-        keys = np.where(feasible, values, np.inf) if feasible.any() else viols
+        keys = np.where(feasible, values, np.inf) if feasible.item(feasible.argmax()) else viols
         b = int(keys.argmin())
         if keys[b] < np.inf:
             return b
         return int(argsort_by_compare(values, viols)[0])
     b = int(values.argmin())
     # argmin stops at the first NaN; the stable order ranks NaN last.
-    if values[b] == values[b]:
+    value = values.item(b)
+    if value == value:
         return b
     return int(argsort_by_compare(values, viols)[0])
 
@@ -295,10 +304,11 @@ def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
 def _less_nan_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a < b per element, where NaN ranks above every other value."""
     less = a < b
-    # np.maximum propagates NaN, so one reduction finds a NaN in b.
-    top = np.maximum.reduce(b, initial=-np.inf)
-    if top != top:
-        less |= (b != b) & (a == a)
+    # argmax stops at the first NaN, so this finds a NaN in b.
+    if b.size:
+        top = b.item(b.argmax())
+        if top != top:
+            less |= (b != b) & (a == a)
     return less
 
 
@@ -308,18 +318,17 @@ def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndar
     in argsort_by_compare: every other key beats a NaN incumbent, and a NaN
     beats nothing."""
     better = _less_nan_last(values, old_values)
-    if constrained and not (
-        np.maximum.reduce(viols) <= TOL_FEAS and np.maximum.reduce(old_viols) <= TOL_FEAS
-    ):
-        feasible = viols <= TOL_FEAS
-        # A change of class decides on its own; two infeasible rows compare
-        # by violation.
-        better = np.where(
-            feasible == (old_viols <= TOL_FEAS),
-            np.where(feasible, better, _less_nan_last(viols, old_viols)),
-            feasible,
-        )
-    return better
+    if not constrained:
+        return better
+    # Against a feasible incumbent a row must be feasible and lower in value.
+    # When every incumbent is feasible, the usual case, that is one mask.
+    if not old_viols.size or old_viols.item(old_viols.argmax()) <= TOL_FEAS:
+        return better & (viols <= TOL_FEAS)
+    # Against an infeasible one the violations decide, and a feasible row
+    # always has the lower one.
+    return np.where(
+        old_viols <= TOL_FEAS, better & (viols <= TOL_FEAS), _less_nan_last(viols, old_viols)
+    )
 
 
 def is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> bool:
@@ -357,23 +366,23 @@ def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -
     one by one only when some coordinate is out of range or NaN.
     """
     xs = np.asarray(xs, dtype=float)
-    # ufunc reductions skip the Python-level wrappers of ndarray.min/max/all.
-    # A NaN coordinate fails every test and reaches the row-wise path.
     common = bounds._common_interval
-    if common is not None and (
-        common[0] <= np.minimum.reduce(xs, axis=None, initial=np.inf)
-        and np.maximum.reduce(xs, axis=None, initial=-np.inf) <= common[1]
-    ):
-        return xs
-    # One pass builds the row mask; on a box without a common interval it
-    # is also the batch test.
-    inside = np.logical_and.reduce((xs >= bounds.lower) & (xs <= bounds.upper), axis=-1)
-    if common is None and np.logical_and.reduce(inside):
-        return xs
-    outside = ~inside
+    if common is not None:
+        low, high = common
+        # The elements at argmin and argmax are the batch's extremes, read
+        # for less than a ufunc reduction. Both stop at the first NaN, which
+        # fails either test and reaches the row-wise path.
+        if not xs.size or (low <= xs.item(xs.argmin()) and xs.item(xs.argmax()) <= high):
+            return xs
+        inside = np.logical_and.reduce((xs >= low) & (xs <= high), axis=-1)
+    else:
+        # One pass builds the row mask and is also the batch test.
+        inside = np.logical_and.reduce((xs >= bounds.lower) & (xs <= bounds.upper), axis=-1)
+        if not inside.size or inside.item(inside.argmin()):
+            return xs
+    rows = (~inside).nonzero()[0]
     out = xs.copy()
-    k = int(np.count_nonzero(outside))
-    out[outside] = bounds.lower + rng.random((k, bounds.dim)) * bounds.span
+    out[rows] = bounds.lower + rng.random((rows.shape[0], bounds.dim)) * bounds.span
     return out
 
 

@@ -99,8 +99,8 @@ class PsoOptimizer(BaseOptimizer):
         try:
             while budget.remaining > 0:
                 k += 1
-                r1 = rng.random(x.shape)
-                r2 = rng.random(x.shape)
+                # One draw for both: Generator.random fills in order.
+                r1, r2 = rng.random((2,) + x.shape)
                 v = self.w * v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (gbest_x - x)
                 # np.clip's bits (NaN included) without its Python wrapper.
                 v = np.minimum(np.maximum(v, neg_v_max), v_max)
@@ -111,18 +111,20 @@ class PsoOptimizer(BaseOptimizer):
                     values, viols, pbest_values[:granted], pbest_viols[:granted], constrained
                 )
                 new_best = False
-                if np.logical_or.reduce(better):
+                # The element at argmax is True exactly when some row is.
+                if better.item(better.argmax()):
                     # Box-only violations are all zero on both sides.
                     if constrained:
                         np.copyto(pbest_viols[:granted], viols, where=better)
                     np.copyto(pbest_x[:granted], x[:granted], where=better[:, None])
                     np.copyto(pbest_values[:granted], values, where=better)
-                    rows = np.flatnonzero(better)
+                    rows = better.nonzero()[0]
                     cand = rows[best_index(values[rows], viols[rows], constrained)]
-                    if is_better(values[cand], viols[cand], gbest_value, gbest_viol):
+                    value, viol = values.item(cand), viols.item(cand)
+                    if is_better(value, viol, gbest_value, gbest_viol):
                         gbest_x = x[cand].copy()
-                        gbest_value = float(values[cand])
-                        gbest_viol = float(viols[cand])
+                        gbest_value = value
+                        gbest_viol = viol
                         new_best = True
 
                 if granted < pop:
