@@ -122,16 +122,19 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
     """Selection probabilities favoring better individuals.
 
     Feasible pools weight by the reciprocal of the shifted fitness. A pool
-    containing any infeasible member is instead ordered feasibility-first
-    and weighted by reciprocal rank, keeping "better gets picked more"
-    meaningful when objective values are not comparable across the pool.
+    containing any infeasible member, or whose objective range is not
+    finite (a NaN or an infinity among the values), is instead ordered
+    feasibility-first and weighted by reciprocal rank, keeping "better gets
+    picked more" meaningful when objective values are not comparable across
+    the pool.
     """
     values = np.asarray(values, dtype=float)
     if viols is not None:
         viols = np.asarray(viols, dtype=float)
-    # A NaN violation fails the all-feasible test and counts as infeasible.
-    if viols is not None and not np.maximum.reduce(viols) <= TOL_FEAS:
-        order = argsort_by_compare(values, viols)
+    lo = values.item(values.argmin())
+    hi = values.item(values.argmax())
+    if _weighs_by_rank(viols, lo, hi):
+        order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
         ranks = np.empty(values.shape[0], dtype=float)
         ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
         weights = 1.0 / ranks
@@ -140,19 +143,28 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _roulette_cum(values, viols) -> np.ndarray:
-    """Cumulative roulette distribution, ending at exactly 1.0 (or NaN when
-    the pool's values are not finite), so that a uniform draw in [0, 1)
-    always searches to a valid index."""
-    # roulette_probabilities' test: a NaN violation counts as infeasible.
-    # The elements at argmax and argmin are the pool's extremes, read for
-    # less than a ufunc reduction; both stop at the first NaN, as one does.
+def _weighs_by_rank(viols, lo: float, hi: float) -> bool:
+    """Does a pool with these violations and objective extremes take the
+    reciprocal-rank weights? A NaN violation fails the all-feasible test
+    and counts as infeasible; hi - lo is NaN or infinite exactly when the
+    shifted fitness would not be finite. The elements at argmax and argmin
+    are the extremes, read for less than a ufunc reduction; both stop at
+    the first NaN, as one does."""
     if viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS:
+        return True
+    return not math.isfinite(hi - lo)
+
+
+def _roulette_cum(values, viols) -> np.ndarray:
+    """Cumulative roulette distribution of roulette_probabilities, ending at
+    exactly 1.0, so that a uniform draw in [0, 1) always searches to a
+    valid index."""
+    lo = values.item(values.argmin())
+    hi = values.item(values.argmax())
+    if _weighs_by_rank(viols, lo, hi):
         cum = np.cumsum(roulette_probabilities(values, viols))
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
-    lo = values.item(values.argmin())
-    hi = values.item(values.argmax())
     cum = (1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12))).cumsum()
     cum /= cum[-1]
     return cum
