@@ -400,22 +400,6 @@ class EcoState:
         start = self.counts[0] + self.counts[1] + self.counts[2]
         return slice(start, start + self.counts[3])
 
-    @property
-    def producers(self) -> np.ndarray:
-        return self.x[self.sl_pro]
-
-    @property
-    def herbivores(self) -> np.ndarray:
-        return self.x[self.sl_her]
-
-    @property
-    def carnivores(self) -> np.ndarray:
-        return self.x[self.sl_car]
-
-    @property
-    def omnivores(self) -> np.ndarray:
-        return self.x[self.sl_omn]
-
 
 def init_state(
     problem: Problem,
