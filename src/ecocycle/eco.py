@@ -147,9 +147,8 @@ def _weighs_by_rank(viols, lo: float, hi: float) -> bool:
     """Does a pool with these violations and objective extremes take the
     reciprocal-rank weights? A NaN violation fails the all-feasible test
     and counts as infeasible; hi - lo is NaN or infinite exactly when the
-    shifted fitness would not be finite. The elements at argmax and argmin
-    are the extremes, read for less than a ufunc reduction; both stop at
-    the first NaN, as one does."""
+    shifted fitness would not be finite. Callers read lo and hi at argmin
+    and argmax, which stop at the first NaN, as a reduction does."""
     if viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS:
         return True
     return not math.isfinite(hi - lo)

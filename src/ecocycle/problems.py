@@ -322,7 +322,7 @@ def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndar
         return better
     # Against a feasible incumbent a row must be feasible and lower in value.
     # When every incumbent is feasible, the usual case, that is one mask.
-    if not old_viols.size or old_viols.item(old_viols.argmax()) <= TOL_FEAS:
+    if old_viols.item(old_viols.argmax()) <= TOL_FEAS:
         return better & (viols <= TOL_FEAS)
     # Against an infeasible one the violations decide, and a feasible row
     # always has the lower one.
