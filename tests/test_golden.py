@@ -167,9 +167,6 @@ def diff(old: dict, new: dict) -> list:
     return lines
 
 
-# The infinite-band cases push inf - inf through the roulette on purpose;
-# the RuntimeWarnings NumPy raises there are expected.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 # ECO's ids carry no optimizer suffix: they predate the PSO fixture.
 @pytest.mark.parametrize(
     "alg, case_id, factory, max_fes, seed",
@@ -204,6 +201,16 @@ def test_fixture_covers_every_case():
         assert set(golden) == {case_id for case_id, *_ in CASES}, alg
         for case_id, _, _, seeds in CASES:
             assert sorted(r["seed"] for r in golden[case_id]) == sorted(seeds), alg
+
+
+def test_diff_names_each_changed_key():
+    old = {"a": [{"seed": 1, "best_value": float("nan"), "trace_sha256": {"div": "x"}}]}
+    assert diff(old, old) == []
+    new = {
+        "a": [{"seed": 1, "best_value": float("nan"), "trace_sha256": {"div": "y"}}],
+        "b": [],
+    }
+    assert diff(old, new) == ["a seed 1: trace_sha256.div: x -> y", "b: case added"]
 
 
 if __name__ == "__main__":
