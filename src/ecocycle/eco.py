@@ -122,17 +122,14 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
     """Selection probabilities favoring better individuals.
 
     Feasible pools weight by the reciprocal of the shifted fitness. A pool
-    containing any infeasible member, or whose objective range is not
-    finite (a NaN or an infinity among the values), is instead ordered
+    holding an infeasible member, a NaN or an infinity is instead ordered
     feasibility-first and weighted by reciprocal rank, keeping "better gets
-    picked more" meaningful when objective values are not comparable across
-    the pool.
+    picked more" meaningful when values are not comparable across the pool.
     """
     values = np.asarray(values, dtype=float)
     if viols is not None:
         viols = np.asarray(viols, dtype=float)
-    lo = values.item(values.argmin())
-    hi = values.item(values.argmax())
+    lo, hi = values.item(values.argmin()), values.item(values.argmax())
     if _weighs_by_rank(viols, lo, hi):
         order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
         ranks = np.empty(values.shape[0], dtype=float)
@@ -144,22 +141,18 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
 
 
 def _weighs_by_rank(viols, lo: float, hi: float) -> bool:
-    """Does a pool with these violations and objective extremes take the
-    reciprocal-rank weights? A NaN violation fails the all-feasible test
-    and counts as infeasible; hi - lo is NaN or infinite exactly when the
-    shifted fitness would not be finite. Callers read lo and hi at argmin
-    and argmax, which stop at the first NaN, as a reduction does."""
-    if viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS:
-        return True
-    return not math.isfinite(hi - lo)
+    """Does a pool take reciprocal-rank weights? A NaN violation counts as
+    infeasible, and hi - lo is not finite when some value is NaN or
+    infinite (argmin and argmax stop at the first NaN, as reductions do)."""
+    infeasible = viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS
+    return infeasible or not math.isfinite(hi - lo)
 
 
 def _roulette_cum(values, viols) -> np.ndarray:
     """Cumulative roulette distribution of roulette_probabilities, ending at
     exactly 1.0, so that a uniform draw in [0, 1) always searches to a
     valid index."""
-    lo = values.item(values.argmin())
-    hi = values.item(values.argmax())
+    lo, hi = values.item(values.argmin()), values.item(values.argmax())
     if _weighs_by_rank(viols, lo, hi):
         cum = np.cumsum(roulette_probabilities(values, viols))
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
@@ -171,9 +164,6 @@ def _roulette_cum(values, viols) -> np.ndarray:
 
 def roulette_select(values, viols, size, rng: np.random.Generator) -> np.ndarray:
     """Sample indices with replacement, cumulative-scan style."""
-    values = np.asarray(values, dtype=float)
-    if viols is not None:
-        viols = np.asarray(viols, dtype=float)
     return _roulette_cum(values, viols).searchsorted(rng.random(size), side="left")
 
 
@@ -204,14 +194,12 @@ def _predation_candidates(x, pools, g, rng: np.random.Generator) -> np.ndarray:
     prey indices per pool from the pool's cumulative roulette distribution,
     then one fresh scalar per prey term weights that prey's difference
     vector. All index draws happen pool by pool before the weight block is
-    drawn; one rng.random call yields them all, and Generator.random fills
-    in order, so these are the doubles that one call per block would give.
+    drawn, all from one rng.random call (Generator.random fills in order).
     """
     n = x.shape[0]
     width = sum(draws for _, draws in pools)
     u = rng.random(2 * n * width)
-    gathered = []
-    start = 0
+    gathered, start = [], 0
     for (pool_x, cum), draws in pools:
         stop = start + n * draws
         index = cum.searchsorted(u[start:stop].reshape(n, draws), side="left")
@@ -256,8 +244,7 @@ def _local_kernel(xs, x_bestk, rng, out=None) -> np.ndarray:
     n, d = xs.shape
     v = 2.0 * rng.random((n, d)) - 1.0
     sq = np.einsum("nd,nd->n", v, v)
-    # sq >= 0, so the element at argmin is 0.0 exactly when some row is.
-    while sq.item(sq.argmin()) == 0.0:
+    while sq.item(sq.argmin()) == 0.0:  # sq >= 0, so this finds any zero
         rows = sq == 0.0
         v[rows] = 2.0 * rng.random((int(rows.sum()), d)) - 1.0
         sq = np.einsum("nd,nd->n", v, v)
@@ -372,8 +359,6 @@ class EcoState:
     dec_values: Optional[np.ndarray] = None
     dec_viols: Optional[np.ndarray] = None
     iter_best_x: Optional[np.ndarray] = None
-    iter_best_value: float = math.nan
-    iter_best_viol: float = math.nan
     pool_cums: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -446,8 +431,7 @@ def producer_update(state: EcoState) -> None:
     stack_values = np.concatenate((state.values[:n_pro], state.dec_values))
     if state.constrained:
         stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
-    # A NaN violation fails the all-feasible test and counts as infeasible;
-    # argmax, like a reduction, stops at the first NaN.
+    # A NaN violation fails the all-feasible test and counts as infeasible.
     if state.constrained and not stack_viols.item(stack_viols.argmax()) <= TOL_FEAS:
         keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
     else:
@@ -515,17 +499,11 @@ class EcoOptimizer(BaseOptimizer):
                     population_diversity(state.x),
                 )
         except BudgetExhausted:
-            # A partial last iteration that moved the global best (which
-            # _track_best replaces, never edits) gets its own row, so the
-            # trace ends at the reported best.
+            # A partial last iteration that moved the best (which _track_best
+            # replaces, never edits) gets its own row, so the trace ends at it.
             if state.best_x is not best_x:
-                recorder.record(
-                    state.k,
-                    budget.used,
-                    state.best_value,
-                    state.best_viol,
-                    population_diversity(state.x),
-                )
+                div = population_diversity(state.x)
+                recorder.record(state.k, budget.used, state.best_value, state.best_viol, div)
         self.state_ = state
         self.trace_ = recorder.freeze()
         self.best_x_ = state.best_x.copy()
@@ -559,8 +537,6 @@ class EcoOptimizer(BaseOptimizer):
         self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
         b = best_index(state.values, state.viols, state.constrained)
         state.iter_best_x = state.x[b].copy()
-        state.iter_best_value = float(state.values[b])
-        state.iter_best_viol = float(state.viols[b])
         candidates = decompose_candidates(
             state.x, state.iter_best_x, state.k, state.k_max, problem.bounds, rng
         )
@@ -583,10 +559,8 @@ class EcoOptimizer(BaseOptimizer):
             values, viols, state.values[rows], state.viols[rows], state.constrained
         )
         # Most late-run sweeps accept nothing; skip the masked copies then,
-        # and the best tracking too: the global best is never worse than any
-        # row, so under the one order of improves, best_index and is_better
-        # a candidate that cannot beat its row cannot beat the best. The
-        # element at argmax is True exactly when some row was accepted.
+        # and the best tracking too: the best is never worse than any row,
+        # so a candidate that cannot beat its row cannot beat the best.
         if accepted.item(accepted.argmax()):
             state.pool_cums.pop(sl.start, None)
             if state.constrained:

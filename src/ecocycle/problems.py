@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -183,16 +184,12 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     if problem.constraint_values is None:
         return np.zeros(x.shape[:-1], dtype=float)
     parts = np.maximum(problem.constraint_values(x), 0.0)
-    # Fold the rows strictly in constraint order, in place: a pairwise sum
-    # over the constraint axis (np.sum, np.add.reduce) would round
-    # differently. The Ellipsis keeps one point's total a 0-d array.
+    # Fold the rows strictly in constraint order, in place (a pairwise sum
+    # would round differently); the Ellipsis keeps one point's total 0-d. A
+    # total is NaN exactly when some g_i is, and argmax stops at a NaN.
     total = np.add.accumulate(parts, axis=0, out=parts)[-1, ...]
-    # Every term is >= 0 or NaN, so a total is NaN exactly when some g_i is,
-    # and argmax stops at the first NaN.
-    if total.size:
-        top = total.item(total.argmax())
-        if top != top:
-            np.copyto(total, np.inf, where=total != total)
+    if total.size and math.isnan(total.item(total.argmax())):
+        np.copyto(total, np.inf, where=total != total)
     return total
 
 
@@ -284,8 +281,8 @@ def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
     +inf, where argmin and the stable order can disagree, takes the full
     feasibility-first sort.
     """
-    # A yes/no test over a batch reads the element at argmax/argmin, which
-    # costs less than a ufunc reduction and, like one, stops at a NaN.
+    # Yes/no tests read the element at argmax/argmin, which costs less than
+    # a ufunc reduction and, like one, stops at a NaN.
     if constrained and not viols.item(viols.argmax()) <= TOL_FEAS:
         feasible = viols <= TOL_FEAS
         keys = np.where(feasible, values, np.inf) if feasible.item(feasible.argmax()) else viols
@@ -304,11 +301,8 @@ def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
 def _less_nan_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a < b per element, where NaN ranks above every other value."""
     less = a < b
-    # argmax stops at the first NaN, so this finds a NaN in b.
-    if b.size:
-        top = b.item(b.argmax())
-        if top != top:
-            less |= (b != b) & (a == a)
+    if b.size and math.isnan(b.item(b.argmax())):  # argmax stops at a NaN
+        less |= (b != b) & (a == a)
     return less
 
 
@@ -320,8 +314,8 @@ def improves(values, viols, old_values, old_viols, constrained: bool) -> np.ndar
     better = _less_nan_last(values, old_values)
     if not constrained:
         return better
-    # Against a feasible incumbent a row must be feasible and lower in value.
-    # When every incumbent is feasible, the usual case, that is one mask.
+    # Against a feasible incumbent a row must be feasible and lower in value;
+    # when every incumbent is feasible, the usual case, that is one mask.
     if old_viols.item(old_viols.argmax()) <= TOL_FEAS:
         return better & (viols <= TOL_FEAS)
     # Against an infeasible one the violations decide, and a feasible row
@@ -369,9 +363,7 @@ def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -
     common = bounds._common_interval
     if common is not None:
         low, high = common
-        # The elements at argmin and argmax are the batch's extremes, read
-        # for less than a ufunc reduction. Both stop at the first NaN, which
-        # fails either test and reaches the row-wise path.
+        # A NaN stops argmin and argmax, fails both tests and is repaired.
         if not xs.size or (low <= xs.item(xs.argmin()) and xs.item(xs.argmax()) <= high):
             return xs
         inside = np.logical_and.reduce((xs >= low) & (xs <= high), axis=-1)

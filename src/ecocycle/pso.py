@@ -111,8 +111,7 @@ class PsoOptimizer(BaseOptimizer):
                     values, viols, pbest_values[:granted], pbest_viols[:granted], constrained
                 )
                 new_best = False
-                # The element at argmax is True exactly when some row is.
-                if better.item(better.argmax()):
+                if better.item(better.argmax()):  # some row improved
                     # Box-only violations are all zero on both sides.
                     if constrained:
                         np.copyto(pbest_viols[:granted], viols, where=better)

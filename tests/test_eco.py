@@ -209,7 +209,8 @@ class TestRoulette:
             p = roulette_probabilities(np.array(values), viols)
             assert p.tolist() == want.tolist()
         rng = np.random.default_rng(3)
-        counts = np.bincount(roulette_select(values, None, 20_000, rng), minlength=len(values))
+        idx = roulette_select(np.array(values), None, 20_000, rng)
+        counts = np.bincount(idx, minlength=len(values))
         sigma = np.sqrt(want * (1 - want) / 20_000)
         assert np.all(np.abs(counts / 20_000 - want) < 4.0 * sigma), counts
 
