@@ -32,31 +32,31 @@ def _sphere(x):
 
 def _schwefel_2_22(x):
     ax = np.abs(x)
-    return np.add.reduce(ax, axis=-1) + np.multiply.reduce(ax, axis=-1)
+    return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
 
 
 def _double_sum(x):
-    return np.add.reduce(np.square(np.cumsum(x, axis=-1)), axis=-1)
+    return np.sum(np.square(np.cumsum(x, axis=-1)), axis=-1)
 
 
 def _max_abs(x):
-    return np.maximum.reduce(np.abs(x), axis=-1)
+    return np.max(np.abs(x), axis=-1)
 
 
 def _rosenbrock(x):
     head = x[..., :-1]
     tail = x[..., 1:]
-    return np.add.reduce(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
+    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 def _step(x):
-    return np.add.reduce(np.floor(x + 0.5) ** 2, axis=-1)
+    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
 def _quartic(x):
     # Noiseless part of the noisy quartic; weights 1..D.
     i = np.arange(1, x.shape[-1] + 1, dtype=float)
-    return np.add.reduce(i * x**4, axis=-1)
+    return np.sum(i * x**4, axis=-1)
 
 
 def _schwefel(x):
@@ -76,7 +76,7 @@ def _ackley(x):
 
 def _griewank(x):
     i = np.sqrt(np.arange(1, x.shape[-1] + 1, dtype=float))
-    return np.add.reduce(x * x, axis=-1) / 4000.0 - np.multiply.reduce(np.cos(x / i), axis=-1) + 1.0
+    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / i), axis=-1) + 1.0
 
 
 def _penalty_u(x, a, k, m):
@@ -91,10 +91,10 @@ def _penalized_1(x):
     nxt = y[..., 1:]
     core = (
         10.0 * np.sin(np.pi * y[..., 0]) ** 2
-        + np.add.reduce((head - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * nxt) ** 2), axis=-1)
+        + np.sum((head - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * nxt) ** 2), axis=-1)
         + (y[..., -1] - 1.0) ** 2
     )
-    return np.pi / d * core + np.add.reduce(_penalty_u(x, 10.0, 100.0, 4.0), axis=-1)
+    return np.pi / d * core + np.sum(_penalty_u(x, 10.0, 100.0, 4.0), axis=-1)
 
 
 def _penalized_2(x):
@@ -102,10 +102,10 @@ def _penalized_2(x):
     nxt = x[..., 1:]
     core = (
         np.sin(3.0 * np.pi * x[..., 0]) ** 2
-        + np.add.reduce((head - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * nxt) ** 2), axis=-1)
+        + np.sum((head - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * nxt) ** 2), axis=-1)
         + (x[..., -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[..., -1]) ** 2)
     )
-    return 0.1 * core + np.add.reduce(_penalty_u(x, 5.0, 100.0, 4.0), axis=-1)
+    return 0.1 * core + np.sum(_penalty_u(x, 5.0, 100.0, 4.0), axis=-1)
 
 
 # Shekel's foxholes grid: 25 columns over {-32,-16,0,16,32}^2.
@@ -120,7 +120,7 @@ _FOXHOLES_A = np.array(
 def _foxholes(x):
     d = (x[..., 0, None] - _FOXHOLES_A[0]) ** 6 + (x[..., 1, None] - _FOXHOLES_A[1]) ** 6
     j = np.arange(1, 26, dtype=float)
-    return 1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (j + d), axis=-1))
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / (j + d), axis=-1))
 
 
 _KOWALIK_A = np.array(
@@ -133,7 +133,7 @@ def _kowalik(x):
     b = _KOWALIK_B
     num = x[..., 0, None] * (b**2 + b * x[..., 1, None])
     den = b**2 + b * x[..., 2, None] + x[..., 3, None]
-    return np.add.reduce((_KOWALIK_A - num / den) ** 2, axis=-1)
+    return np.sum((_KOWALIK_A - num / den) ** 2, axis=-1)
 
 
 def _camel_six_hump(x):
@@ -194,8 +194,8 @@ _HARTMANN_C = np.array([1.0, 1.2, 3.0, 3.2])
 def _hartmann(a, p):
     def f(x):
         diff = x[..., None, :] - p
-        inner = np.add.reduce(a * diff**2, axis=-1)
-        return -np.add.reduce(_HARTMANN_C * np.exp(-inner), axis=-1)
+        inner = np.sum(a * diff**2, axis=-1)
+        return -np.sum(_HARTMANN_C * np.exp(-inner), axis=-1)
 
     return f
 
@@ -223,7 +223,7 @@ def _shekel(m):
 
     def f(x):
         diff = x[..., None, :] - a
-        return -np.add.reduce(1.0 / (np.add.reduce(diff**2, axis=-1) + c), axis=-1)
+        return -np.sum(1.0 / (np.sum(diff**2, axis=-1) + c), axis=-1)
 
     return f
 
