@@ -131,10 +131,7 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
         viols = np.asarray(viols, dtype=float)
     lo, hi = values.item(values.argmin()), values.item(values.argmax())
     if _weighs_by_rank(viols, lo, hi):
-        order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
-        ranks = np.empty(values.shape[0], dtype=float)
-        ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
-        weights = 1.0 / ranks
+        weights = _rank_weights(values, viols)
     else:
         weights = 1.0 / shifted_fitness(values)
     return weights / weights.sum()
@@ -148,13 +145,22 @@ def _weighs_by_rank(viols, lo: float, hi: float) -> bool:
     return infeasible or not math.isfinite(hi - lo)
 
 
+def _rank_weights(values, viols) -> np.ndarray:
+    """Reciprocal feasibility-first rank of each pool member, best first."""
+    order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
+    ranks = np.empty(values.shape[0], dtype=float)
+    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
+    return 1.0 / ranks
+
+
 def _roulette_cum(values, viols) -> np.ndarray:
     """Cumulative roulette distribution of roulette_probabilities, ending at
     exactly 1.0, so that a uniform draw in [0, 1) always searches to a
     valid index."""
     lo, hi = values.item(values.argmin()), values.item(values.argmax())
     if _weighs_by_rank(viols, lo, hi):
-        cum = np.cumsum(roulette_probabilities(values, viols))
+        weights = _rank_weights(values, viols)
+        cum = np.cumsum(weights / weights.sum())
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
     cum = (1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12))).cumsum()
@@ -489,7 +495,7 @@ class EcoOptimizer(BaseOptimizer):
         try:
             for k in range(1, state.k_max + 1):
                 state.k = k
-                best_x = state.best_x
+                best = state.best_value, state.best_viol
                 self._iterate(problem, state, budget, rng)
                 recorder.record(
                     k,
@@ -499,9 +505,9 @@ class EcoOptimizer(BaseOptimizer):
                     population_diversity(state.x),
                 )
         except BudgetExhausted:
-            # A partial last iteration that moved the best (which _track_best
-            # replaces, never edits) gets its own row, so the trace ends at it.
-            if state.best_x is not best_x:
+            # A partial last iteration that moved the best gets its own row,
+            # so the trace ends at it.
+            if is_better(state.best_value, state.best_viol, *best):
                 div = population_diversity(state.x)
                 recorder.record(state.k, budget.used, state.best_value, state.best_viol, div)
         self.state_ = state
