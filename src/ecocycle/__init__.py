@@ -10,12 +10,8 @@ from .problems import (
     BudgetExhausted,
     DimensionMismatch,
     EvalBudget,
-    Evaluation,
     Problem,
     TOL_FEAS,
-    clamp_or_resample,
-    compare,
-    evaluate,
 )
 from .classic import CLASSIC_IDS, ClassicFunction, UnknownFunction, make_classic, spot_values
 from .engineering import (
@@ -60,7 +56,6 @@ __all__ = [
     "EcoOptimizer",
     "EngineeringProblem",
     "EvalBudget",
-    "Evaluation",
     "ExperimentSpec",
     "FriedmanResult",
     "PairwiseVerdict",
@@ -71,11 +66,8 @@ __all__ = [
     "RunTrace",
     "TOL_FEAS",
     "UnknownFunction",
-    "clamp_or_resample",
-    "compare",
     "constraint_report",
     "diversity_curve",
-    "evaluate",
     "friedman",
     "make_classic",
     "make_engineering",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -129,11 +129,3 @@ def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def check_fitted(estimator, attribute: str = "best_x_"):
-    """Raise if fit has not been called on the estimator yet."""
-    if not hasattr(estimator, attribute):
-        raise RuntimeError(
-            f"{type(estimator).__name__} instance is not fitted yet; call fit first"
-        )

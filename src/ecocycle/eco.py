@@ -18,7 +18,7 @@ omnivores (20/30/30/20 by default). Each iteration runs four phases:
    the iteration best, or by a decaying global random walk. The decomposed
    positions are evaluated and buffered; they re-enter the population only
    through the next producer re-selection.
-4. The global best tracks the compare-minimum over every evaluation made.
+4. The global best tracks the feasibility-first minimum over every evaluation made.
 
 The iteration ceiling is derived from the evaluation budget; a budget that
 runs dry mid-sweep ends the run after the evaluations that were still
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import population_diversity
-from .base import BaseOptimizer, RunTrace, TraceRecorder, rng_from
+from .base import BaseOptimizer, TraceRecorder, rng_from
 from .problems import (
     TOL_FEAS,
     Bounds,
@@ -105,65 +105,48 @@ def predation_factor(k: int, k_max: int, dim: int, rng: np.random.Generator) -> 
     return 1.0 + damp * u * sign
 
 
-def shifted_fitness(values) -> np.ndarray:
-    """Positive shift of raw objective values for reciprocal weighting.
-
-    f - min(f) + 0.1 (max(f) - min(f)) + 1e-12: strictly positive, order
-    preserving, and well defined for any sign regime. An all-equal pool
-    shifts to a constant, which downstream weighting turns uniform.
-    """
-    values = np.asarray(values, dtype=float)
-    lo = values.min()
-    hi = values.max()
-    return values - lo + 0.1 * (hi - lo) + 1e-12
-
-
 def roulette_probabilities(values, viols=None) -> np.ndarray:
     """Selection probabilities favoring better individuals.
 
-    Feasible pools weight by the reciprocal of the shifted fitness. A pool
-    holding an infeasible member, a NaN or an infinity is instead ordered
-    feasibility-first and weighted by reciprocal rank, keeping "better gets
-    picked more" meaningful when values are not comparable across the pool.
+    Feasible pools weight by the reciprocal of the shifted fitness
+    f - min(f) + 0.1 (max(f) - min(f)) + 1e-12. A pool holding an infeasible
+    member (a NaN violation counts as one), a NaN or an infinity is instead
+    ordered feasibility-first and weighted by reciprocal rank, keeping
+    "better gets picked more" meaningful when values are not comparable
+    across the pool.
     """
     values = np.asarray(values, dtype=float)
     if viols is not None:
         viols = np.asarray(viols, dtype=float)
-    lo, hi = values.item(values.argmin()), values.item(values.argmax())
-    if _weighs_by_rank(viols, lo, hi):
-        weights = _rank_weights(values, viols)
-    else:
-        weights = 1.0 / shifted_fitness(values)
+    weights, _ = _roulette_weights(values, viols)
     return weights / weights.sum()
 
 
-def _weighs_by_rank(viols, lo: float, hi: float) -> bool:
-    """Does a pool take reciprocal-rank weights? A NaN violation counts as
-    infeasible, and hi - lo is not finite when some value is NaN or
-    infinite (argmin and argmax stop at the first NaN, as reductions do)."""
+def _roulette_weights(values, viols) -> tuple[np.ndarray, bool]:
+    """Unnormalized weights of roulette_probabilities, and whether they are
+    reciprocal ranks. The shift is summed as f + (0.1 (max - min) - min +
+    1e-12). hi - lo is not finite when some value is NaN or infinite
+    (argmin and argmax stop at the first NaN)."""
+    lo, hi = values.item(values.argmin()), values.item(values.argmax())
     infeasible = viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS
-    return infeasible or not math.isfinite(hi - lo)
-
-
-def _rank_weights(values, viols) -> np.ndarray:
-    """Reciprocal feasibility-first rank of each pool member, best first."""
-    order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
-    ranks = np.empty(values.shape[0], dtype=float)
-    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
-    return 1.0 / ranks
+    if infeasible or not math.isfinite(hi - lo):
+        order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
+        ranks = np.empty(values.shape[0], dtype=float)
+        ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
+        return 1.0 / ranks, True
+    return 1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12)), False
 
 
 def _roulette_cum(values, viols) -> np.ndarray:
     """Cumulative roulette distribution of roulette_probabilities, ending at
     exactly 1.0, so that a uniform draw in [0, 1) always searches to a
     valid index."""
-    lo, hi = values.item(values.argmin()), values.item(values.argmax())
-    if _weighs_by_rank(viols, lo, hi):
-        weights = _rank_weights(values, viols)
+    weights, by_rank = _roulette_weights(values, viols)
+    if by_rank:
         cum = np.cumsum(weights / weights.sum())
         cum[-1] = 1.0  # a rounding shortfall would map the top draws past the end
         return cum
-    cum = (1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12))).cumsum()
+    cum = weights.cumsum()
     cum /= cum[-1]
     return cum
 
@@ -171,26 +154,6 @@ def _roulette_cum(values, viols) -> np.ndarray:
 def roulette_select(values, viols, size, rng: np.random.Generator) -> np.ndarray:
     """Sample indices with replacement, cumulative-scan style."""
     return _roulette_cum(values, viols).searchsorted(rng.random(size), side="left")
-
-
-def predation_step(x, preys, rands, g) -> np.ndarray:
-    """Move x along rand-weighted prey differences, scaled by g.
-
-    x + g * sum_t rands[t] (prey_t - x), vectorized over a leading batch
-    axis: x may be (D,) or (n, D); preys is a sequence of arrays matching x;
-    rands has one scalar per prey term (per batch row in the batched case).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    rs = np.atleast_2d(np.asarray(rands, dtype=float))
-    g = np.asarray(g, dtype=float)
-    step = np.zeros_like(xs)
-    for t, prey in enumerate(preys):
-        prey = np.atleast_2d(np.asarray(prey, dtype=float))
-        step += rs[:, t : t + 1] * (prey - xs)
-    out = xs + g * step
-    return out[0] if single else out
 
 
 def _predation_candidates(x, pools, g, rng: np.random.Generator) -> np.ndarray:
@@ -233,20 +196,27 @@ def _group_pool(state: "EcoState", sl: slice):
     return (state.x[sl], cum)
 
 
-# Each decomposition strategy is one kernel over an (n, D) batch of rows;
-# the public decompose_* forms add the 1-D/2-D handling around it, while
-# decompose_candidates feeds the kernels its routed sub-batches directly and
-# lets each kernel overwrite its own rows (out may alias xs).
+# Each decomposition strategy works on an (n, D) batch of rows.
+# decompose_candidates feeds them its routed sub-batches and lets each one
+# overwrite its own rows (out may alias xs).
 
 
-def _optimal_kernel(xs, x_bestk, rng, out=None) -> np.ndarray:
+def decompose_optimal(xs, x_bestk, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Decompose toward a randomly scaled neighborhood of the iteration best.
+
+    The neighbor scales each best coordinate by a fresh uniform, then the
+    result lands within +/-0.2 of the neighbor-to-individual gap (one scalar
+    offset draw per individual).
+    """
     n, d = xs.shape
     x_nei = rng.random((n, d)) * x_bestk
     offset = 0.4 * rng.random((n, 1)) - 0.2
     return np.add(x_nei, offset * (x_nei - xs), out=out)
 
 
-def _local_kernel(xs, x_bestk, rng, out=None) -> np.ndarray:
+def decompose_local(xs, x_bestk, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Decompose radially: a uniform-length step along a random direction,
+    never farther than the individual's distance to the iteration best."""
     n, d = xs.shape
     v = 2.0 * rng.random((n, d)) - 1.0
     sq = np.einsum("nd,nd->n", v, v)
@@ -259,46 +229,21 @@ def _local_kernel(xs, x_bestk, rng, out=None) -> np.ndarray:
     return np.add(xs, rng.random((n, 1)) * radius * (v / np.sqrt(sq)[:, None]), out=out)
 
 
-def _global_kernel(xs, k: int, k_max: int, scale: float, rng, out=None) -> np.ndarray:
+def decompose_global(
+    xs, k: int, k_max: int, scale: float, rng: np.random.Generator, out=None
+) -> np.ndarray:
+    """Decompose by a decaying global random walk.
+
+    The walk amplitude H = cos(u pi) (1 - k/(1.5 k_max))^(5k/k_max) starts
+    wide and shrinks to at most (1/3)^5 of scale, the smallest box span, by
+    the final iteration; the result blends the individual with the walk
+    point under one scalar weight.
+    """
     n, d = xs.shape
     h = np.cos(rng.random(n) * np.pi) * (1.0 - k / (1.5 * k_max)) ** (5.0 * k / k_max)
     w = (2.0 / 3.0) * rng.random((n, d)) * h[:, None] * scale
     weight = rng.random((n, 1))
     return np.add(weight * xs, (1.0 - weight) * w, out=out)
-
-
-def decompose_optimal(x, x_bestk, rng: np.random.Generator) -> np.ndarray:
-    """Decompose toward a randomly scaled neighborhood of the iteration best.
-
-    The neighbor scales each best coordinate by a fresh uniform, then the
-    result lands within +/-0.2 of the neighbor-to-individual gap (one scalar
-    offset draw per individual).
-    """
-    x = np.asarray(x, dtype=float)
-    out = _optimal_kernel(np.atleast_2d(x), np.asarray(x_bestk, dtype=float), rng)
-    return out[0] if x.ndim == 1 else out
-
-
-def decompose_local(x, x_bestk, rng: np.random.Generator) -> np.ndarray:
-    """Decompose radially: a uniform-length step along a random direction,
-    never farther than the individual's distance to the iteration best."""
-    x = np.asarray(x, dtype=float)
-    out = _local_kernel(np.atleast_2d(x), np.asarray(x_bestk, dtype=float), rng)
-    return out[0] if x.ndim == 1 else out
-
-
-def decompose_global(x, k: int, k_max: int, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
-    """Decompose by a decaying global random walk.
-
-    The walk amplitude H = cos(u pi) (1 - k/(1.5 k_max))^(5k/k_max) starts
-    wide and shrinks to at most (1/3)^5 of the smallest box span by the
-    final iteration; the result blends the individual with the walk point
-    under one scalar weight.
-    """
-    x = np.asarray(x, dtype=float)
-    scale = float(np.minimum.reduce(bounds.span))
-    out = _global_kernel(np.atleast_2d(x), k, k_max, scale, rng)
-    return out[0] if x.ndim == 1 else out
 
 
 def decompose_candidates(
@@ -329,12 +274,12 @@ def decompose_candidates(
     moved = x.take(order, axis=0)
     a, b = n_opt, n_opt + n_loc
     if n_opt:
-        _optimal_kernel(moved[:a], x_bestk, rng, out=moved[:a])
+        decompose_optimal(moved[:a], x_bestk, rng, out=moved[:a])
     if n_loc:
-        _local_kernel(moved[a:b], x_bestk, rng, out=moved[a:b])
+        decompose_local(moved[a:b], x_bestk, rng, out=moved[a:b])
     if n_glo:
         scale = float(np.minimum.reduce(bounds.span))
-        _global_kernel(moved[b:], k, k_max, scale, rng, out=moved[b:])
+        decompose_global(moved[b:], k, k_max, scale, rng, out=moved[b:])
     out = np.empty_like(x)
     out[order] = moved
     return out
@@ -586,9 +531,3 @@ class EcoOptimizer(BaseOptimizer):
             state.best_x = xs[b].copy()
             state.best_value = value
             state.best_viol = viol
-
-
-def run(problem: Problem, **params) -> tuple[np.ndarray, float, RunTrace]:
-    """One-call form: fit an EcoOptimizer and return (x, value, trace)."""
-    opt = EcoOptimizer(**params).fit(problem)
-    return opt.best_x_, opt.best_value_, opt.trace_

@@ -10,8 +10,7 @@ Objectives must accept arrays of shape (..., D) and return values of shape
 come from one callable, `constraint_values`, that maps (..., D) to an (m, ...)
 array: row i holds g_i at every point, in the problem's constraint order, so
 rows can share subexpressions and the violation is one pass over one matrix.
-All functions shipped with this package follow that contract; `batchable`
-wraps a scalar-only objective when needed.
+All functions shipped with this package follow that contract.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,7 +47,7 @@ def as_point(x, dim: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Bounds:
-    """Box constraints: lower[j] < upper[j] for every dimension j."""
+    """Finite box constraints: lower[j] < upper[j] for every dimension j."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -58,6 +57,8 @@ class Bounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
             raise ValueError("lower and upper must be 1-d arrays of equal length >= 1")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
@@ -128,22 +129,6 @@ class Problem:
         return self.noise is not None
 
 
-@dataclasses.dataclass(frozen=True)
-class Evaluation:
-    """Objective value plus aggregate constraint violation at one point."""
-
-    value: float
-    violation: float = 0.0
-
-    def __post_init__(self):
-        if self.violation < 0:
-            raise ValueError("violation must be nonnegative")
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation <= TOL_FEAS
-
-
 @dataclasses.dataclass
 class EvalBudget:
     """Function evaluation counter with a hard ceiling."""
@@ -158,11 +143,6 @@ class EvalBudget:
     @property
     def remaining(self) -> int:
         return self.max_fes - self.used
-
-    def charge_one(self) -> None:
-        if self.used >= self.max_fes:
-            raise BudgetExhausted(f"budget of {self.max_fes} evaluations exhausted")
-        self.used += 1
 
     def charge_up_to(self, n: int) -> int:
         """Debit up to n evaluations; returns how many were granted (>= 1)."""
@@ -191,24 +171,6 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     if total.size and math.isnan(total.item(total.argmax())):
         np.copyto(total, np.inf, where=total != total)
     return total
-
-
-def evaluate(
-    problem: Problem,
-    x,
-    budget: EvalBudget,
-    rng: Optional[np.random.Generator] = None,
-) -> Evaluation:
-    """Evaluate one point, debiting exactly one FE regardless of constraints."""
-    point = as_point(x, problem.dim)
-    budget.charge_one()
-    value = float(problem.objective(point))
-    if problem.noise is not None:
-        if rng is None:
-            raise ValueError(f"{problem.name} is noisy; an RNG stream is required")
-        value += float(problem.noise(rng, 1)[0])
-    viol = float(violation_of(problem, point)) if problem.constrained else 0.0
-    return Evaluation(value=value, violation=viol)
 
 
 def evaluate_batch(
@@ -242,37 +204,26 @@ def evaluate_batch(
     return granted, values, viols
 
 
-def compare(a: Evaluation, b: Evaluation) -> int:
-    """Feasibility-first ordering: -1 if a is better, +1 if b is, 0 on a tie.
-
-    A feasible point beats an infeasible one; two feasible points compare by
-    objective value; two infeasible points compare by total violation. A NaN
-    key ranks last within its feasibility class. Exact equality on the
-    deciding key, or two NaN keys, is a tie.
-    """
-    if is_better(a.value, a.violation, b.value, b.violation):
-        return -1
-    if is_better(b.value, b.violation, a.value, a.violation):
-        return 1
-    return 0
-
-
 def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
-    """Stable ascending order under compare (best first); a NaN key ranks
-    last within its feasibility class."""
+    """Stable feasibility-first order, best first.
+
+    A feasible point beats an infeasible one; feasible points order by
+    objective value and infeasible points by total violation. A NaN key
+    ranks last within its feasibility class.
+    """
     feasible = viols <= TOL_FEAS
     return np.lexsort((np.where(feasible, values, viols), ~feasible))
 
 
-# The three helpers below take the same decisions as compare and
-# argsort_by_compare with fewer NumPy calls; both optimizers use them.
+# The three helpers below take the same decisions as argsort_by_compare
+# with fewer NumPy calls; both optimizers use them.
 # `constrained` is False only when every violation is zero, and then the
 # feasibility-first order is the objective order. A NaN violation counts as
 # infeasible everywhere, because it fails `<= TOL_FEAS`.
 
 
 def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
-    """Index of the compare-minimum; first occurrence wins ties.
+    """Index of the feasibility-first minimum; first occurrence wins ties.
 
     Equals argsort_by_compare(values, viols)[0] for every input. When every
     row is feasible the feasibility-first order is the objective order, so
@@ -341,23 +292,13 @@ def sample_uniform(bounds: Bounds, n: int, rng: np.random.Generator) -> np.ndarr
     return bounds.lower + rng.random((n, bounds.dim)) * bounds.span
 
 
-def clamp_or_resample(x, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
-    """Return x unchanged when inside the box, else a fresh uniform sample.
-
-    The repair is all-or-nothing: a single out-of-range coordinate triggers a
-    full re-initialization of the whole vector (per-dimension fresh uniforms).
-    """
-    point = as_point(x, bounds.dim)
-    if bool(bounds.contains(point)):
-        return point
-    return bounds.lower + rng.random(bounds.dim) * bounds.span
-
-
 def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
-    """Batch form of clamp_or_resample over the rows of xs.
+    """Return xs, with every row that leaves the box resampled uniformly.
 
-    The whole batch is tested against the box at once; rows are examined
-    one by one only when some coordinate is out of range or NaN.
+    The repair is all-or-nothing per row: a single out-of-range or NaN
+    coordinate redraws the whole row, one fresh uniform per coordinate. The
+    whole batch is tested against the box at once; rows are examined one by
+    one only when some coordinate fails.
     """
     xs = np.asarray(xs, dtype=float)
     common = bounds._common_interval
@@ -376,15 +317,3 @@ def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -
     out = xs.copy()
     out[rows] = bounds.lower + rng.random((rows.shape[0], bounds.dim)) * bounds.span
     return out
-
-
-def batchable(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt a scalar-only objective to the (..., D) -> (...) contract."""
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.float64(f(x))
-        return np.apply_along_axis(f, -1, x)
-
-    return wrapped

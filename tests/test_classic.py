@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecocycle.classic import CLASSIC_IDS, UnknownFunction, make_classic, spot_values
-from ecocycle.problems import EvalBudget, evaluate
+from ecocycle.problems import EvalBudget, evaluate_batch
 
 
 def test_catalog_has_23_functions():
@@ -72,11 +72,14 @@ def test_f7_noise_is_injected_at_evaluation():
     entry = make_classic("f7", dim=5)
     p = entry.problem
     assert p.noisy
-    x = np.zeros(5)
-    assert float(p.objective(x)) == 0.0  # the raw objective stays noiseless
+    xs = np.zeros((1, 5))
+    assert float(p.objective(xs[0])) == 0.0  # the raw objective stays noiseless
     rng = np.random.default_rng(3)
-    vals = {evaluate(p, x, EvalBudget(10), rng).value for _ in range(5)}
-    assert len(vals) == 5  # every evaluation drew a fresh noise term
+    budget = EvalBudget(10)
+    vals = {evaluate_batch(p, xs, budget, rng)[1].item() for _ in range(5)}
+    # every evaluation drew a fresh noise term, within one batch too
+    vals |= set(evaluate_batch(p, np.zeros((5, 5)), budget, rng)[1].tolist())
+    assert len(vals) == 10
     assert all(0.0 <= v < 1.0 for v in vals)
 
 

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ecocycle.base import check_fitted
 from ecocycle.classic import make_classic
 from ecocycle.eco import (
     DEFAULT_PROPORTIONS,
     EcoOptimizer,
     EcoState,
+    _predation_candidates,
+    _roulette_cum,
     decompose_candidates,
     decompose_global,
     decompose_local,
@@ -20,11 +21,9 @@ from ecocycle.eco import (
     iteration_ceiling,
     partition_counts,
     predation_factor,
-    predation_step,
     producer_update,
     roulette_probabilities,
     roulette_select,
-    run,
 )
 from ecocycle.engineering import make_engineering
 from ecocycle.problems import (
@@ -38,7 +37,7 @@ from ecocycle.problems import (
     improves,
     is_better,
 )
-from oracles import compare_batch
+from oracles import compare_batch, predation_step
 
 
 class QueuedRng:
@@ -290,12 +289,50 @@ class TestPredationStep:
         assert out == pytest.approx(x)
 
 
+class TestPredationCandidates:
+    """The batched move, which computes sum r prey - (sum r) x in one pass,
+    against the plain step on the same queued draws."""
+
+    @staticmethod
+    def pool(rng, n, d):
+        pool_x = rng.uniform(-5.0, 5.0, size=(n, d))
+        return pool_x, _roulette_cum(rng.normal(size=n), None)
+
+    def check(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 9, 7
+        x = rng.uniform(-5.0, 5.0, size=(n, d))
+        g = predation_factor(1, 10, d, rng)
+        pools = [(self.pool(rng, int(rng.integers(2, 10)), d), draws) for draws in layout]
+        width = sum(layout)
+        u = rng.random(2 * n * width)
+        got = _predation_candidates(x, pools, g, QueuedRng(u))
+        # The index draws come pool by pool, then one weight per prey term.
+        preys, start = [], 0
+        for (pool_x, cum), draws in pools:
+            index = cum.searchsorted(u[start : start + n * draws].reshape(n, draws))
+            preys += [pool_x[index[:, t]] for t in range(draws)]
+            start += n * draws
+        want = predation_step(x, preys, u[start:].reshape(n, width), g)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_pool_drawn_three_times(self, seed):
+        # herbivores and carnivores
+        self.check((3,), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_three_pools_drawn_one_one_two(self, seed):
+        # omnivores: one producer, one herbivore, two carnivores
+        self.check((1, 1, 2), seed)
+
+
 class TestDecomposeOptimal:
     def test_hand_oracle_single(self):
         # neighbor = 0.5*10 = 5; offset = 0.4*1 - 0.2 = 0.2; 5 + 0.2*(5-3)
         rng = QueuedRng(np.array([[0.5]]), np.array([[1.0]]))
-        out = decompose_optimal(np.array([3.0]), np.array([10.0]), rng)
-        assert out == pytest.approx([5.4])
+        out = decompose_optimal(np.array([[3.0]]), np.array([10.0]), rng)
+        assert out == pytest.approx(np.array([[5.4]]))
         assert rng.exhausted()
 
     def test_hand_oracle_batch(self):
@@ -357,9 +394,8 @@ class TestDecomposeGlobal:
         rng = QueuedRng(
             np.array([0.0]), np.array([[1.0, 0.5]]), np.array([[0.25]])
         )
-        bounds = Bounds(np.array([0.0, 0.0]), np.array([10.0, 20.0]))
         x = np.array([[1.0, 2.0]])
-        out = decompose_global(x, 1, 2, bounds, rng)
+        out = decompose_global(x, 1, 2, 10.0, rng)  # spans (10, 20)
         h = (2.0 / 3.0) ** 2.5
         w = (2.0 / 3.0) * np.array([1.0, 0.5]) * h * 10.0
         expected = 0.25 * x[0] + 0.75 * w
@@ -368,10 +404,9 @@ class TestDecomposeGlobal:
 
     def test_amplitude_decays_with_iteration(self):
         # late-run walk points collapse toward the origin blend
-        bounds = Bounds(np.array([-5.0]), np.array([5.0]))
         x = np.zeros((2000, 1))
-        early = decompose_global(x, 0, 100, bounds, np.random.default_rng(1))
-        late = decompose_global(x, 100, 100, bounds, np.random.default_rng(1))
+        early = decompose_global(x, 0, 100, 10.0, np.random.default_rng(1))
+        late = decompose_global(x, 100, 100, 10.0, np.random.default_rng(1))
         assert np.abs(late).max() < np.abs(early).max()
         assert np.abs(late).max() <= (2.0 / 3.0) * (1.0 / 3.0) ** 5 * 10.0 + 1e-12
 
@@ -652,21 +687,6 @@ class TestEstimatorContract:
     def test_invalid_param_rejected(self):
         with pytest.raises(ValueError, match="invalid parameter"):
             EcoOptimizer().set_params(population=10)
-
-    def test_check_fitted(self):
-        opt = EcoOptimizer(max_fes=200, seed=0)
-        with pytest.raises(RuntimeError, match="not fitted"):
-            check_fitted(opt)
-        opt.fit(make_classic("f1", dim=2).problem)
-        check_fitted(opt)
-
-    def test_run_convenience_matches_fit(self):
-        problem = make_classic("f3", dim=4).problem
-        x, value, trace = run(problem, max_fes=400, seed=13)
-        opt = EcoOptimizer(max_fes=400, seed=13).fit(problem)
-        assert np.array_equal(x, opt.best_x_)
-        assert value == opt.best_value_
-        assert np.array_equal(trace.best_values, opt.trace_.best_values)
 
 
 def reference_best_index(values, viols):

@@ -11,20 +11,15 @@ from ecocycle.problems import (
     BudgetExhausted,
     DimensionMismatch,
     EvalBudget,
-    Evaluation,
     Problem,
     as_point,
     argsort_by_compare,
-    batchable,
-    clamp_or_resample,
-    compare,
-    evaluate,
     evaluate_batch,
     resample_outside,
     sample_uniform,
     violation_of,
 )
-from oracles import compare_batch
+from oracles import Evaluation, compare, compare_batch
 
 
 def sphere_problem(dim=2, half=5.0):
@@ -48,6 +43,15 @@ class TestBounds:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Bounds(np.array([0.0, 0.0]), np.array([1.0]))
+
+    def test_rejects_non_finite(self):
+        # Both optimizers end at nan on an infinite box.
+        with pytest.raises(ValueError):
+            Bounds.symmetric(np.inf, 2)
+        with pytest.raises(ValueError):
+            Bounds(np.array([0.0, -np.inf]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            Bounds(np.array([0.0]), np.array([np.inf]))
 
     def test_span_and_dim(self):
         b = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
@@ -78,14 +82,6 @@ class TestEvalBudget:
         with pytest.raises(ValueError):
             EvalBudget(0)
 
-    def test_charge_one_counts(self):
-        b = EvalBudget(2)
-        b.charge_one()
-        b.charge_one()
-        assert b.used == 2 and b.remaining == 0
-        with pytest.raises(BudgetExhausted):
-            b.charge_one()
-
     def test_charge_up_to_partial_grant(self):
         b = EvalBudget(5)
         assert b.charge_up_to(3) == 3
@@ -109,8 +105,8 @@ class TestEvaluate:
     def test_single_point(self):
         p = sphere_problem()
         b = EvalBudget(3)
-        ev = evaluate(p, [1.0, 2.0], b)
-        assert ev == Evaluation(value=5.0, violation=0.0)
+        granted, values, viols = evaluate_batch(p, np.array([[1.0, 2.0]]), b)
+        assert (granted, values.tolist(), viols.tolist()) == (1, [5.0], [0.0])
         assert b.used == 1
 
     def test_batch_truncates_to_budget(self):
@@ -135,9 +131,9 @@ class TestEvaluate:
             noise=lambda rng, n: rng.random(n),
         )
         with pytest.raises(ValueError):
-            evaluate(p, [0.0], EvalBudget(5))
-        ev = evaluate(p, [0.0], EvalBudget(5), np.random.default_rng(0))
-        assert 0.0 <= ev.value < 1.0
+            evaluate_batch(p, np.zeros((1, 1)), EvalBudget(5))
+        _, values, _ = evaluate_batch(p, np.zeros((3, 1)), EvalBudget(5), np.random.default_rng(0))
+        assert np.all((0.0 <= values) & (values < 1.0))
 
 
 class TestViolation:
@@ -271,17 +267,17 @@ class TestCompare:
 class TestRepair:
     def test_inside_point_untouched(self):
         b = Bounds.symmetric(1.0, 3)
-        x = np.array([0.1, -0.5, 0.9])
-        assert clamp_or_resample(x, b, np.random.default_rng(0)) is x or np.array_equal(
-            clamp_or_resample(x, b, np.random.default_rng(0)), x
-        )
+        xs = np.array([[0.1, -0.5, 0.9]])
+        assert resample_outside(xs, b, np.random.default_rng(0)) is xs
 
     def test_outside_point_resampled_inside(self):
+        # One coordinate out of range redraws the whole row.
         b = Bounds.symmetric(1.0, 3)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            y = clamp_or_resample(np.array([2.0, 0.0, 0.0]), b, rng)
-            assert bool(b.contains(y))
+            y = resample_outside(np.array([[2.0, 0.0, 0.0]]), b, rng)
+            assert bool(b.contains(y[0]))
+            assert y[0, 1] != 0.0 and y[0, 2] != 0.0
 
     def test_batch_keeps_inside_rows(self):
         b = Bounds.symmetric(1.0, 2)
@@ -323,14 +319,6 @@ class TestRepair:
         xs = sample_uniform(b, 40, np.random.default_rng(seed))
         assert xs.shape == (40, 2)
         assert b.contains(xs).all()
-
-
-class TestBatchable:
-    def test_wraps_scalar_function(self):
-        f = batchable(lambda x: float(np.sum(x) + 1.0))
-        xs = np.array([[1.0, 2.0], [0.0, 0.0]])
-        assert np.allclose(f(xs), [4.0, 1.0])
-        assert np.allclose(f(np.array([3.0, 4.0])), 8.0)
 
 
 class TestProblemValidation:

@@ -28,13 +28,12 @@ from ecocycle.eco import EcoOptimizer, fes_per_iteration, partition_counts
 from ecocycle.problems import (
     Bounds,
     BudgetExhausted,
-    Evaluation,
     Problem,
     argsort_by_compare,
-    compare,
     violation_of,
 )
 from ecocycle.pso import PsoOptimizer
+from oracles import Evaluation, compare
 
 FILLS = {"none": None, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 OPTIMIZERS = {"eco": EcoOptimizer, "pso": PsoOptimizer}
