@@ -11,6 +11,7 @@ change that alters seeded output on purpose and says why. Add `--diff` to
 print every fixture key that a re-record would change, without writing.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -41,12 +42,22 @@ def sphere_with_region(dim, half_width, region, fill):
     return Problem("sphere_region", dim, Bounds.symmetric(half_width, dim), objective)
 
 
+def offset_sphere(dim, offset):
+    """f1 plus a constant: late in a run a prey pool is nearly constant at
+    |f| = offset, where the shifted roulette weights lose their spread."""
+    sphere = make_classic("f1", dim=dim).problem
+    return dataclasses.replace(
+        sphere, name="offset_sphere", objective=lambda x: sphere.objective(x) + offset
+    )
+
+
 # (case id, problem factory, max_fes, seeds). With a budget of 100 PSO runs
 # dry inside its third sweep, while ECO spends 84 evaluations on one full
 # iteration and stops there, because a second one would not fit. A budget of
 # 83 ends ECO inside its first iteration, before the decomposition sweep is
 # whole. The region cases pin behaviour on non-finite objectives: NaN in the
-# initial population, NaN met only near the optimum, and +/-inf bands.
+# initial population, NaN met only near the optimum, and +/-inf bands. The
+# offset sphere pins the roulette weights of nearly constant pools above 2^14.
 CASES = (
     ("f1_d5", lambda: make_classic("f1", dim=5).problem, 3000, (1, 2)),
     ("f1_d5_truncated", lambda: make_classic("f1", dim=5).problem, 100, (1, 2)),
@@ -82,6 +93,7 @@ CASES = (
         3000,
         (0, 1),
     ),
+    ("offset_sphere", lambda: offset_sphere(5, 3e4), 5000, (0, 1)),
 )
 
 TRACE_COLUMNS = {
