@@ -113,7 +113,9 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
     member (a NaN violation counts as one), a NaN or an infinity is instead
     ordered feasibility-first and weighted by reciprocal rank, keeping
     "better gets picked more" meaningful when values are not comparable
-    across the pool.
+    across the pool. So is a degenerate pool, one whose best shifted value
+    rounds to zero or below: a nearly constant pool at |f| above 2^14 loses
+    the range term and the 1e-12 guard to rounding.
     """
     values = np.asarray(values, dtype=float)
     if viols is not None:
@@ -126,15 +128,18 @@ def _roulette_weights(values, viols) -> tuple[np.ndarray, bool]:
     """Unnormalized weights of roulette_probabilities, and whether they are
     reciprocal ranks. The shift is summed as f + (0.1 (max - min) - min +
     1e-12). hi - lo is not finite when some value is NaN or infinite
-    (argmin and argmax stop at the first NaN)."""
+    (argmin and argmax stop at the first NaN). lo + shift is the smallest
+    shifted value, since rounded addition is monotone."""
     lo, hi = values.item(values.argmin()), values.item(values.argmax())
     infeasible = viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS
-    if infeasible or not math.isfinite(hi - lo):
-        order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
-        ranks = np.empty(values.shape[0], dtype=float)
-        ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
-        return 1.0 / ranks, True
-    return 1.0 / (values + (0.1 * (hi - lo) - lo + 1e-12)), False
+    if not infeasible and math.isfinite(hi - lo):
+        shift = 0.1 * (hi - lo) - lo + 1e-12
+        if lo + shift > 0.0:
+            return 1.0 / (values + shift), False
+    order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
+    ranks = np.empty(values.shape[0], dtype=float)
+    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
+    return 1.0 / ranks, True
 
 
 def _roulette_cum(values, viols) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecocycle.classic import make_classic
 from ecocycle.eco import (
@@ -175,6 +177,24 @@ class TestRoulette:
     def test_constant_pool_is_uniform(self):
         p = roulette_probabilities(np.array([2.5, 2.5, 2.5, 2.5]))
         assert p == pytest.approx([0.25] * 4, abs=1e-12)
+
+    def test_degenerate_pool_uses_reciprocal_ranks(self):
+        # At 2e4 the shift's range term and guard round away, so the best
+        # shifted value is 0; the weights used to be NaN.
+        p = roulette_probabilities(np.full(4, 2e4))
+        assert p == pytest.approx([0.48, 0.24, 0.16, 0.12], abs=1e-12)
+
+    @given(
+        offset=st.floats(-1e12, 1e12),
+        spread=st.floats(0.0, 1e6),
+        unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cumulative_is_a_distribution_at_any_scale(self, offset, spread, unit):
+        cum = _roulette_cum(offset + spread * np.array(unit), None)
+        assert np.all(np.isfinite(cum))
+        assert np.all(np.diff(cum) >= 0.0)
+        assert cum[-1] == 1.0
 
     def test_infeasible_pool_uses_reciprocal_ranks(self):
         # feasible row 0 ranks first despite its worse objective
