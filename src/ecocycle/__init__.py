@@ -13,7 +13,7 @@ from .problems import (
     Problem,
     TOL_FEAS,
 )
-from .classic import CLASSIC_IDS, ClassicFunction, UnknownFunction, make_classic, spot_values
+from .classic import CLASSIC_IDS, ClassicFunction, UnknownFunction, make_classic
 from .engineering import (
     ENGINEERING_IDS,
     EngineeringProblem,
@@ -21,14 +21,13 @@ from .engineering import (
     make_engineering,
 )
 from .eco import EcoOptimizer
-from .pso import PsoOptimizer, run_pso
+from .pso import PsoOptimizer
 from .base import RunTrace
 from .analysis import (
     DiversityCurve,
     FriedmanResult,
     PairwiseVerdict,
     RunSummary,
-    diversity_curve,
     friedman,
     population_diversity,
     summarize,
@@ -67,7 +66,6 @@ __all__ = [
     "TOL_FEAS",
     "UnknownFunction",
     "constraint_report",
-    "diversity_curve",
     "friedman",
     "make_classic",
     "make_engineering",
@@ -75,8 +73,6 @@ __all__ = [
     "population_diversity",
     "resolve_budget",
     "run_experiment",
-    "run_pso",
-    "spot_values",
     "summarize",
     "wilcoxon_rank_sum",
     "win_tie_loss",

@@ -332,16 +332,3 @@ class DiversityCurve:
     def __len__(self) -> int:
         return len(self.div)
 
-
-def diversity_curve(history) -> DiversityCurve:
-    """Diversity curve from raw population snapshots.
-
-    history is (iterations x individuals x dimensions); each snapshot is
-    reduced with population_diversity, then normalized by the run-wide
-    maximum.
-    """
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 3:
-        raise ValueError("expected (iterations, individuals, dimensions) history")
-    div = np.array([population_diversity(snapshot) for snapshot in history])
-    return DiversityCurve.from_div(div)

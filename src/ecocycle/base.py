@@ -1,9 +1,22 @@
-"""Estimator plumbing shared by the optimizers.
+"""Estimator plumbing and the one fit loop shared by the optimizers.
 
 Optimizers follow the familiar estimator shape: hyperparameters are plain
 keyword arguments stored verbatim on the instance, get_params/set_params
-round-trip them, fit(problem) runs the search and leaves results in
-trailing-underscore attributes (best_x_, best_value_, trace_, ...).
+round-trip them, and fit(problem) runs the search. Every optimizer inherits
+BaseOptimizer.fit, which holds the run protocol:
+
+- The budget is max_fes evaluations, or 10_000 * problem.dim when max_fes
+  is None; n_fes_ never exceeds it.
+- An invalid pop_size raises ValueError. A budget below the initial
+  population then raises BudgetExhausted before anything is evaluated
+  (initial_population).
+- Trace row 0 is the state after the initial population, and row k the
+  state after step k (an ECO iteration or a PSO sweep). A budget that runs
+  dry inside a step ends the run after the evaluations it could still
+  afford; that partial step gets a row only when it moved the best, so the
+  trace always ends at best_value_.
+- After fit: best_x_, best_value_, best_violation_, trace_, n_fes_ and
+  n_iters_, the step of the last trace row.
 """
 
 from __future__ import annotations
@@ -13,6 +26,8 @@ import inspect
 from typing import Iterator, Tuple
 
 import numpy as np
+
+from .problems import BudgetExhausted, EvalBudget, Problem, is_better, sample_uniform
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,11 +102,22 @@ class TraceRecorder:
 
 
 class BaseOptimizer:
-    """Parameter handling base for population optimizers.
+    """Parameter handling and the shared fit for population optimizers.
 
     Subclasses declare hyperparameters as explicit __init__ keywords and
-    store each under its own name; get_params/set_params then work by
-    signature introspection, the usual estimator contract.
+    store each under its own name (pop_size, max_fes and seed among them);
+    get_params/set_params then work by signature introspection, the usual
+    estimator contract. A subclass supplies three hooks to fit:
+
+    - _start(problem, budget, rng) -> (run, n_steps) evaluates the initial
+      population. run exposes best_x, best_value and best_viol.
+    - _step(problem, run, budget, rng, k) makes step k, and raises
+      BudgetExhausted when the budget ran dry inside it.
+    - _diversity(run) is the population diversity for a trace row.
+
+    The hooks make every evaluation, repair and diversity call themselves, so
+    an outside tracer that patches those names in the optimizer's module
+    sees each of them.
     """
 
     @classmethod
@@ -121,7 +147,43 @@ class BaseOptimizer:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-    # fit(problem) is defined by each optimizer.
+    def fit(self, problem: Problem):
+        """Run the search on problem, under the contract in the module docstring."""
+        rng = rng_from(self.seed)
+        max_fes = self.max_fes if self.max_fes is not None else 10_000 * problem.dim
+        budget = EvalBudget(int(max_fes))
+        run, n_steps = self._start(problem, budget, rng)
+        recorder = TraceRecorder()
+        recorder.record(0, budget.used, run.best_value, run.best_viol, self._diversity(run))
+        try:
+            for k in range(1, n_steps + 1):
+                best = run.best_value, run.best_viol
+                self._step(problem, run, budget, rng, k)
+                div = self._diversity(run)
+                recorder.record(k, budget.used, run.best_value, run.best_viol, div)
+        except BudgetExhausted:
+            if is_better(run.best_value, run.best_viol, *best):
+                div = self._diversity(run)
+                recorder.record(k, budget.used, run.best_value, run.best_viol, div)
+        self.trace_ = recorder.freeze()
+        self.best_x_ = run.best_x.copy()
+        self.best_value_ = float(run.best_value)
+        self.best_violation_ = float(run.best_viol)
+        self.n_fes_ = budget.used
+        self.n_iters_ = int(self.trace_.iters[-1])
+        return self
+
+
+def initial_population(
+    problem: Problem, n: int, budget: EvalBudget, rng: np.random.Generator
+) -> np.ndarray:
+    """n uniform points in the box, after checking that the budget can
+    evaluate all of them; raises BudgetExhausted before drawing otherwise."""
+    if budget.remaining < n:
+        raise BudgetExhausted(
+            f"budget of {budget.max_fes} evaluations cannot cover an initial population of {n}"
+        )
+    return sample_uniform(problem.bounds, n, rng)
 
 
 def rng_from(seed) -> np.random.Generator:

@@ -295,44 +295,3 @@ def make_classic(fid: str, dim: int = 30) -> ClassicFunction:
     )
     return ClassicFunction(id=key, problem=problem, modality=modality, fixed_dim=fixed)
 
-
-# Reference anchor evaluations per function. Optimum rows double as
-# transcription checks against the catalog's known-optimum column; the table
-# prints most fixed-dimension optima rounded to about four decimals, hence
-# the looser tolerances there. The remaining rows are hand-computable spot
-# values pinning the formulas down at non-optimal points.
-_SPOT = {
-    "f1": [((0.0,) * 30, 0.0, 1e-12), ((1.0, 1.0), 2.0, 1e-12)],
-    "f2": [((0.0,) * 30, 0.0, 1e-12), ((1.0, 1.0, 1.0), 4.0, 1e-12), ((-1.0, 2.0), 5.0, 1e-12)],
-    "f3": [((0.0,) * 30, 0.0, 1e-12), ((1.0, 1.0), 5.0, 1e-12)],
-    "f4": [((0.0,) * 30, 0.0, 1e-12), ((-3.0, 2.0), 3.0, 1e-12)],
-    "f5": [((1.0,) * 30, 0.0, 1e-12), ((0.0, 0.0), 1.0, 1e-12)],
-    "f6": [((0.2,) * 30, 0.0, 1e-12), ((0.6, -0.6), 2.0, 1e-12)],
-    "f7": [((0.0,) * 30, 0.0, 1e-12), ((1.0, 1.0), 3.0, 1e-12)],
-    "f8": [((420.9687,) * 30, -418.98 * 30, 1.0), ((0.0,) * 30, 0.0, 1e-12)],
-    "f9": [((0.0,) * 30, 0.0, 1e-12), ((1.0, 1.0), 2.0, 1e-9)],
-    "f10": [((0.0,) * 30, 0.0, 1e-9), ((0.0, 0.0), 0.0, 1e-9)],
-    "f11": [((0.0,) * 30, 0.0, 1e-12), ((0.0, 0.0), 0.0, 1e-12)],
-    "f12": [((-1.0,) * 30, 0.0, 1e-12), ((-1.0, -1.0), 0.0, 1e-12)],
-    "f13": [((1.0,) * 30, 0.0, 1e-12), ((1.0, 1.0), 0.0, 1e-12)],
-    "f14": [((-32.0, -32.0), 0.9980, 1e-3)],
-    "f15": [((0.192833, 0.190836, 0.123117, 0.135766), 0.0003075, 1e-3)],
-    "f16": [((0.08984201, -0.7126564), -1.0316, 1e-3), ((-0.08984201, 0.7126564), -1.0316, 1e-3)],
-    "f17": [((np.pi, 2.275), 0.3979, 1e-3), ((-np.pi, 12.275), 0.3979, 1e-3)],
-    "f18": [((0.0, -1.0), 3.0, 1e-9)],
-    "f19": [((0.114614, 0.555649, 0.852547), -3.8628, 1e-3)],
-    "f20": [((0.20169, 0.150011, 0.476874, 0.275332, 0.311652, 0.6573), -3.3220, 1e-3)],
-    "f21": [((4.0, 4.0, 4.0, 4.0), -10.1532, 1e-3)],
-    "f22": [((4.0, 4.0, 4.0, 4.0), -10.4029, 1e-3)],
-    "f23": [((4.0, 4.0, 4.0, 4.0), -10.5364, 1e-3)],
-}
-
-
-def spot_values(fid: str):
-    """Reference (point, value, tolerance) anchors for a function id."""
-    key = fid.lower()
-    if key not in _SPOT:
-        raise UnknownFunction(f"unknown classic function id: {fid!r}")
-    return [
-        (np.asarray(p, dtype=float), float(v), float(tol)) for p, v, tol in _SPOT[key]
-    ]

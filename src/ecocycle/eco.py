@@ -20,10 +20,9 @@ omnivores (20/30/30/20 by default). Each iteration runs four phases:
    through the next producer re-selection.
 4. The global best tracks the feasibility-first minimum over every evaluation made.
 
-The iteration ceiling is derived from the evaluation budget; a budget that
-runs dry mid-sweep ends the run after the evaluations that were still
-affordable, and that partial iteration gets a trace row when it moved the
-global best.
+The iteration ceiling is derived from the evaluation budget. The run loop,
+the budget rules and the trace live in base.BaseOptimizer.fit; this module
+supplies its start, step and diversity hooks.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import population_diversity
-from .base import BaseOptimizer, TraceRecorder, rng_from
+from .base import BaseOptimizer, initial_population
 from .problems import (
     TOL_FEAS,
     Bounds,
@@ -49,7 +48,6 @@ from .problems import (
     improves,
     is_better,
     resample_outside,
-    sample_uniform,
 )
 
 DEFAULT_PROPORTIONS = (0.2, 0.3, 0.3, 0.2)
@@ -309,17 +307,11 @@ class EcoState:
     best_value: float
     best_viol: float
     constrained: bool = False
-    k: int = 0
     k_max: int = 0
     dec_x: Optional[np.ndarray] = None
     dec_values: Optional[np.ndarray] = None
     dec_viols: Optional[np.ndarray] = None
-    iter_best_x: Optional[np.ndarray] = None
     pool_cums: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def pop_size(self) -> int:
-        return int(sum(self.counts))
 
     @functools.cached_property
     def sl_pro(self) -> slice:
@@ -354,11 +346,7 @@ def init_state(
     cover one evaluation per member.
     """
     counts = partition_counts(pop_size, proportions)
-    if budget.remaining < pop_size:
-        raise BudgetExhausted(
-            f"budget of {budget.max_fes} cannot initialize {pop_size} individuals"
-        )
-    x = sample_uniform(problem.bounds, pop_size, rng)
+    x = initial_population(problem, pop_size, budget, rng)
     _, values, viols = evaluate_batch(problem, x, budget, rng)
     constrained = problem.constrained
     b = best_index(values, viols, constrained)
@@ -415,8 +403,8 @@ class EcoOptimizer(BaseOptimizer):
         fit time when left unset.
     seed : integer seed or numpy Generator for the run's random stream.
 
-    After fit(problem): best_x_, best_value_, best_violation_, trace_,
-    n_fes_, n_iters_, state_.
+    fit(problem) follows the contract of base.BaseOptimizer.fit and also
+    leaves the final run state in state_.
     """
 
     def __init__(
@@ -431,48 +419,19 @@ class EcoOptimizer(BaseOptimizer):
         self.max_fes = max_fes
         self.seed = seed
 
-    def fit(self, problem: Problem) -> "EcoOptimizer":
-        rng = rng_from(self.seed)
-        max_fes = self.max_fes if self.max_fes is not None else 10_000 * problem.dim
-        max_fes = int(max_fes)
-        budget = EvalBudget(max_fes)
+    def _start(self, problem, budget, rng):
         state = init_state(problem, int(self.pop_size), self.proportions, budget, rng)
-        state.k_max = iteration_ceiling(max_fes, state.counts)
-        recorder = TraceRecorder()
-        recorder.record(
-            0, budget.used, state.best_value, state.best_viol, population_diversity(state.x)
-        )
-        try:
-            for k in range(1, state.k_max + 1):
-                state.k = k
-                best = state.best_value, state.best_viol
-                self._iterate(problem, state, budget, rng)
-                recorder.record(
-                    k,
-                    budget.used,
-                    state.best_value,
-                    state.best_viol,
-                    population_diversity(state.x),
-                )
-        except BudgetExhausted:
-            # A partial last iteration that moved the best gets its own row,
-            # so the trace ends at it.
-            if is_better(state.best_value, state.best_viol, *best):
-                div = population_diversity(state.x)
-                recorder.record(state.k, budget.used, state.best_value, state.best_viol, div)
+        state.k_max = iteration_ceiling(budget.max_fes, state.counts)
         self.state_ = state
-        self.trace_ = recorder.freeze()
-        self.best_x_ = state.best_x.copy()
-        self.best_value_ = float(state.best_value)
-        self.best_violation_ = float(state.best_viol)
-        self.n_fes_ = budget.used
-        self.n_iters_ = int(self.trace_.iters[-1])
-        return self
+        return state, state.k_max
 
-    def _iterate(self, problem, state, budget, rng) -> None:
-        if state.k != 1:
+    def _diversity(self, state) -> float:
+        return population_diversity(state.x)
+
+    def _step(self, problem, state, budget, rng, k) -> None:
+        if k != 1:
             producer_update(state)
-        g = predation_factor(state.k, state.k_max, problem.dim, rng)
+        g = predation_factor(k, state.k_max, problem.dim, rng)
         # Prey pools are built right before each sweep needs them, so every
         # pool reflects that group's state after its own update: carnivores
         # see post-update herbivores, omnivores see post-update everything.
@@ -491,11 +450,8 @@ class EcoOptimizer(BaseOptimizer):
             rng,
         )
         self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
-        b = best_index(state.values, state.viols, state.constrained)
-        state.iter_best_x = state.x[b].copy()
-        candidates = decompose_candidates(
-            state.x, state.iter_best_x, state.k, state.k_max, problem.bounds, rng
-        )
+        b = best_index(state.values, state.viols, state.constrained)  # the iteration best
+        candidates = decompose_candidates(state.x, state.x[b], k, state.k_max, problem.bounds, rng)
         candidates = resample_outside(candidates, problem.bounds, rng)
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
         state.dec_x = candidates[:granted]

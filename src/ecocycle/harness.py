@@ -197,9 +197,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 )
 
     _write_runs(out / "runs.csv", records)
-    summaries = _summary_rows(pids, spec.algorithms, records)
+    batches: dict = {}
+    for r in records:
+        batches.setdefault((r.problem, r.algorithm), []).append(r)
+    summaries = _summary_rows(pids, spec.algorithms, batches)
     _write_summary(out / "summary.csv", summaries)
-    comparison = _comparison_report(pids, spec.algorithms, records)
+    comparison = _comparison_report(pids, spec.algorithms, batches)
     (out / "comparison.json").write_text(
         json.dumps(comparison, indent=2, sort_keys=True) + "\n"
     )
@@ -224,15 +227,12 @@ def _write_runs(path: pathlib.Path, records: Sequence[RunRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _batch(records, pid, alg) -> list[RunRecord]:
-    return [r for r in records if r.problem == pid and r.algorithm == alg]
-
-
-def _summary_rows(pids, algorithms, records) -> list[dict]:
+def _summary_rows(pids, algorithms, batches) -> list[dict]:
+    """One row per (problem, algorithm); batches maps that pair to its runs."""
     rows = []
     for pid in pids:
         for alg in algorithms:
-            batch = _batch(records, pid, alg)
+            batch = batches[pid, alg]
             s = summarize([r.best_value for r in batch])
             feasible = sum(1 for r in batch if r.best_violation <= TOL_FEAS)
             rows.append(
@@ -258,13 +258,13 @@ def _write_summary(path: pathlib.Path, rows: Sequence[dict]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _comparison_report(pids, algorithms, records) -> dict:
+def _comparison_report(pids, algorithms, batches) -> dict:
     report: dict = {"alpha": 0.05, "problems": list(pids), "algorithms": list(algorithms)}
     if len(algorithms) < 2:
         return report
 
     bests = {
-        alg: [[r.best_value for r in _batch(records, pid, alg)] for pid in pids]
+        alg: [[r.best_value for r in batches[pid, alg]] for pid in pids]
         for alg in algorithms
     }
     wilcoxon: dict = {}

@@ -80,11 +80,6 @@ class Bounds:
             return low, high
         return None
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Componentwise-inside test, reduced over the last axis."""
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
-
     @classmethod
     def symmetric(cls, half_width: float, dim: int) -> "Bounds":
         return cls(np.full(dim, -half_width), np.full(dim, half_width))

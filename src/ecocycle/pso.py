@@ -14,23 +14,37 @@ diverge on wide boxes, spending the whole budget on repair resamples).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
 
 from .analysis import population_diversity
-from .base import BaseOptimizer, RunTrace, TraceRecorder, rng_from
+from .base import BaseOptimizer, initial_population
 from .problems import (
     BudgetExhausted,
-    EvalBudget,
-    Problem,
     best_index,
     evaluate_batch,
     improves,
     is_better,
     resample_outside,
-    sample_uniform,
 )
+
+
+@dataclasses.dataclass
+class SwarmState:
+    """The swarm between sweeps: positions, velocities, personal bests and
+    the global best."""
+
+    x: np.ndarray
+    v: np.ndarray
+    v_max: np.ndarray
+    pbest_x: np.ndarray
+    pbest_values: np.ndarray
+    pbest_viols: np.ndarray
+    best_x: np.ndarray
+    best_value: float
+    best_viol: float
 
 
 class PsoOptimizer(BaseOptimizer):
@@ -46,8 +60,8 @@ class PsoOptimizer(BaseOptimizer):
         fit time when left unset.
     seed : integer seed or numpy Generator for the run's random stream.
 
-    After fit(problem): best_x_, best_value_, best_violation_, trace_,
-    n_fes_, n_iters_.
+    fit(problem) follows the contract of base.BaseOptimizer.fit; one step is
+    one sweep of the swarm.
     """
 
     def __init__(
@@ -66,96 +80,53 @@ class PsoOptimizer(BaseOptimizer):
         self.max_fes = max_fes
         self.seed = seed
 
-    def fit(self, problem: Problem) -> "PsoOptimizer":
-        rng = rng_from(self.seed)
+    def _start(self, problem, budget, rng):
         pop = int(self.pop_size)
         if pop < 1:
             raise ValueError("pop_size must be >= 1")
-        max_fes = self.max_fes if self.max_fes is not None else 10_000 * problem.dim
-        budget = EvalBudget(int(max_fes))
-        if budget.remaining < pop:
-            raise BudgetExhausted(
-                f"budget {budget.max_fes} cannot evaluate an initial swarm of {pop}"
-            )
-
-        x = sample_uniform(problem.bounds, pop, rng)
+        x = initial_population(problem, pop, budget, rng)
         _, values, viols = evaluate_batch(problem, x, budget, rng)
-        constrained = problem.constrained
-        v = np.zeros_like(x)
-        v_max = 0.2 * problem.bounds.span
-        neg_v_max = -v_max
+        b = best_index(values, viols, problem.constrained)
+        swarm = SwarmState(
+            x=x,
+            v=np.zeros_like(x),
+            v_max=0.2 * problem.bounds.span,
+            pbest_x=x.copy(),
+            pbest_values=values.copy(),
+            pbest_viols=viols.copy(),
+            best_x=x[b].copy(),
+            best_value=float(values[b]),
+            best_viol=float(viols[b]),
+        )
+        # Sweeps until the budget is spent, the last one possibly partial.
+        return swarm, -(-budget.remaining // pop)
 
-        pbest_x = x.copy()
-        pbest_values = values.copy()
-        pbest_viols = viols.copy()
-        b = best_index(values, viols, constrained)
-        gbest_x = x[b].copy()
-        gbest_value = float(values[b])
-        gbest_viol = float(viols[b])
+    def _diversity(self, swarm) -> float:
+        return population_diversity(swarm.x)
 
-        recorder = TraceRecorder()
-        recorder.record(0, budget.used, gbest_value, gbest_viol, population_diversity(x))
-        k = 0
-        try:
-            while budget.remaining > 0:
-                k += 1
-                # One draw for both: Generator.random fills in order.
-                r1, r2 = rng.random((2,) + x.shape)
-                v = self.w * v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (gbest_x - x)
-                # np.clip's bits (NaN included) without its Python wrapper.
-                v = np.minimum(np.maximum(v, neg_v_max), v_max)
-                x = resample_outside(x + v, problem.bounds, rng)
-                granted, values, viols = evaluate_batch(problem, x, budget, rng)
-
-                better = improves(
-                    values, viols, pbest_values[:granted], pbest_viols[:granted], constrained
-                )
-                new_best = False
-                if better.item(better.argmax()):  # some row improved
-                    # Box-only violations are all zero on both sides.
-                    if constrained:
-                        np.copyto(pbest_viols[:granted], viols, where=better)
-                    np.copyto(pbest_x[:granted], x[:granted], where=better[:, None])
-                    np.copyto(pbest_values[:granted], values, where=better)
-                    rows = better.nonzero()[0]
-                    cand = rows[best_index(values[rows], viols[rows], constrained)]
-                    value, viol = values.item(cand), viols.item(cand)
-                    if is_better(value, viol, gbest_value, gbest_viol):
-                        gbest_x = x[cand].copy()
-                        gbest_value = value
-                        gbest_viol = viol
-                        new_best = True
-
-                if granted < pop:
-                    # A partial last sweep that moved the global best gets
-                    # its own row, so the trace ends at the reported best.
-                    if new_best:
-                        recorder.record(
-                            k, budget.used, gbest_value, gbest_viol, population_diversity(x)
-                        )
-                    raise BudgetExhausted("budget ran dry mid-sweep")
-                recorder.record(
-                    k, budget.used, gbest_value, gbest_viol, population_diversity(x)
-                )
-        except BudgetExhausted:
-            pass
-
-        self.trace_ = recorder.freeze()
-        self.best_x_ = gbest_x.copy()
-        self.best_value_ = gbest_value
-        self.best_violation_ = gbest_viol
-        self.n_fes_ = budget.used
-        self.n_iters_ = int(self.trace_.iters[-1])
-        return self
-
-
-def run_pso(problem: Problem, config=None, **params) -> tuple[np.ndarray, float, RunTrace]:
-    """One-call form: fit a PsoOptimizer and return (x, value, trace).
-
-    config may be a mapping of parameter overrides; keyword arguments win
-    over it.
-    """
-    merged = dict(config or {})
-    merged.update(params)
-    opt = PsoOptimizer(**merged).fit(problem)
-    return opt.best_x_, opt.best_value_, opt.trace_
+    def _step(self, problem, swarm, budget, rng, k) -> None:
+        x, pbest_x, constrained = swarm.x, swarm.pbest_x, problem.constrained
+        # One draw for both: Generator.random fills in order.
+        r1, r2 = rng.random((2,) + x.shape)
+        v = self.w * swarm.v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (swarm.best_x - x)
+        # np.clip's bits (NaN included) without its Python wrapper.
+        swarm.v = v = np.minimum(np.maximum(v, -swarm.v_max), swarm.v_max)
+        swarm.x = x = resample_outside(x + v, problem.bounds, rng)
+        granted, values, viols = evaluate_batch(problem, x, budget, rng)
+        pbest_values, pbest_viols = swarm.pbest_values[:granted], swarm.pbest_viols[:granted]
+        better = improves(values, viols, pbest_values, pbest_viols, constrained)
+        if better.item(better.argmax()):  # some row improved
+            # Box-only violations are all zero on both sides.
+            if constrained:
+                np.copyto(pbest_viols, viols, where=better)
+            np.copyto(pbest_x[:granted], x[:granted], where=better[:, None])
+            np.copyto(pbest_values, values, where=better)
+            rows = better.nonzero()[0]
+            cand = rows[best_index(values[rows], viols[rows], constrained)]
+            value, viol = values.item(cand), viols.item(cand)
+            if is_better(value, viol, swarm.best_value, swarm.best_viol):
+                swarm.best_x = x[cand].copy()
+                swarm.best_value = value
+                swarm.best_viol = viol
+        if granted < x.shape[0]:
+            raise BudgetExhausted("budget ran dry mid-sweep")

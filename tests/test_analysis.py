@@ -23,7 +23,6 @@ from ecocycle.analysis import (
     PairwiseVerdict,
     RunSummary,
     WinTieLoss,
-    diversity_curve,
     friedman,
     population_diversity,
     summarize,
@@ -376,6 +375,8 @@ class TestDiversityCurve:
         assert np.all(curve.exploration_pct >= 0.0)
         assert np.all(curve.exploration_pct <= 100.0 + 1e-9)
 
+    # A run's curve is built from one population_diversity value per
+    # population snapshot, as the optimizers record it in trace_.div.
     def test_from_history(self):
         history = np.array(
             [
@@ -383,12 +384,13 @@ class TestDiversityCurve:
                 [[1.0], [1.0], [1.0]],
             ]
         )
-        curve = diversity_curve(history)
+        curve = DiversityCurve.from_div([population_diversity(x) for x in history])
         assert curve.div == pytest.approx([2.0 / 3.0, 0.0])
 
     def test_history_shape_validated(self):
+        # Snapshots of a (4, 3) history are vectors, not populations.
         with pytest.raises(ValueError):
-            diversity_curve(np.ones((4, 3)))
+            DiversityCurve.from_div([population_diversity(x) for x in np.ones((4, 3))])
 
 
 class TestVerdictDataclass:

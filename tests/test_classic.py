@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ecocycle.classic import CLASSIC_IDS, UnknownFunction, make_classic, spot_values
+from ecocycle.classic import CLASSIC_IDS, UnknownFunction, make_classic
 from ecocycle.problems import EvalBudget, evaluate_batch
+from oracles import spot_values
 
 
 def test_catalog_has_23_functions():

@@ -33,7 +33,7 @@ from ecocycle.problems import (
     violation_of,
 )
 from ecocycle.pso import PsoOptimizer
-from oracles import Evaluation, compare
+from oracles import Evaluation, compare, contains
 
 FILLS = {"none": None, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 OPTIMIZERS = {"eco": EcoOptimizer, "pso": PsoOptimizer}
@@ -112,7 +112,7 @@ def test_run_agrees_with_its_evaluations(make, fit):
     viols = violation_of(problem, xs)
     assert opt.n_fes_ <= max_fes
     assert opt.n_fes_ == xs.shape[0]
-    assert problem.bounds.contains(opt.best_x_)
+    assert contains(problem.bounds, opt.best_x_)
 
     trace = opt.trace_
     for i in range(1, len(trace)):

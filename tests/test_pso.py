@@ -7,8 +7,10 @@ import pytest
 
 from ecocycle.classic import make_classic
 from ecocycle.engineering import make_engineering
-from ecocycle.pso import PsoOptimizer, run_pso
+from ecocycle.pso import PsoOptimizer
 from ecocycle.problems import Bounds, BudgetExhausted, Problem
+from fit_contract import FitContract
+from oracles import contains
 
 
 class TestDefaults:
@@ -30,7 +32,10 @@ class TestDefaults:
         assert clone.get_params() == opt.get_params()
 
 
-class TestFitMechanics:
+class TestFitMechanics(FitContract):
+    optimizer = PsoOptimizer
+    invalid_pop = 0
+
     def test_single_particle_is_stationary(self):
         # with one particle, pbest and gbest coincide with x, so every
         # velocity term vanishes and the swarm never moves
@@ -111,7 +116,7 @@ class TestFitMechanics:
     def test_population_stays_in_box(self):
         problem = make_classic("f6", dim=6).problem
         opt = PsoOptimizer(max_fes=1500, seed=5).fit(problem)
-        assert problem.bounds.contains(opt.best_x_[None, :]).all()
+        assert contains(problem.bounds, opt.best_x_[None, :]).all()
 
 
 class TestConvergence:
@@ -137,28 +142,6 @@ class TestConvergence:
         assert np.all(np.diff(values)[prev_feas] <= 0.0)
         assert np.all(np.diff(viols)[~prev_feas] <= 0.0)
         assert not np.any(prev_feas & (viols[1:] > 1e-8))
-
-
-class TestRunPso:
-    def test_matches_estimator(self):
-        problem = make_classic("f9", dim=4).problem
-        x, value, trace = run_pso(problem, max_fes=600, seed=7)
-        opt = PsoOptimizer(max_fes=600, seed=7).fit(problem)
-        assert np.array_equal(x, opt.best_x_)
-        assert value == opt.best_value_
-        assert np.array_equal(trace.fes, opt.trace_.fes)
-
-    def test_kwargs_override_config(self):
-        problem = make_classic("f1", dim=2).problem
-        _, _, trace = run_pso(
-            problem, {"seed": 1, "max_fes": 300}, max_fes=600
-        )
-        assert trace.fes[-1] == 600
-
-    def test_config_alone(self):
-        problem = make_classic("f1", dim=2).problem
-        _, _, trace = run_pso(problem, {"seed": 1, "max_fes": 300})
-        assert trace.fes[-1] == 300
 
 
 class TestBoxOnlyPathEquivalence:
