@@ -66,12 +66,19 @@ class PairwiseVerdict:
 def _midranks(combined: np.ndarray) -> np.ndarray:
     """1-based ranks of a 1-D sample, tied values sharing the mean of their
     positions; any NaN makes every rank NaN (SciPy's rankdata defaults)."""
-    n = combined.shape[0]
     if np.isnan(combined).any():
-        return np.full(n, np.nan)
+        return np.full(combined.shape[0], np.nan)
     order = np.argsort(combined, kind="stable")
     ordered = combined[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return _tie_midranks(order, ordered[1:] != ordered[:-1])
+
+
+def _tie_midranks(order: np.ndarray, differs: np.ndarray) -> np.ndarray:
+    """1-based mid-ranks of items sorted into `order`, where differs[i] says
+    whether sorted positions i and i + 1 hold different items; each run of
+    equal items shares the mean of its positions."""
+    n = order.shape[0]
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
     ends = np.append(starts[1:], n)
     # A tie group covering sorted positions start..end-1 holds ranks
     # start+1..end, whose mean is (start + end + 1) / 2, exact in floats.
@@ -209,20 +216,12 @@ class FriedmanResult:
 def _row_ranks(keys: np.ndarray) -> np.ndarray:
     """Ascending 1-based ranks for one row of lexicographic key tuples.
 
-    Rows equal on the full key receive the mid-rank of their positions.
+    Rows equal on the full key receive the mid-rank of their positions; a
+    key holding NaN equals nothing, itself included.
     """
-    m = keys.shape[0]
     order = np.lexsort(keys.T[::-1])
-    ranks = np.empty(m, dtype=float)
-    pos = 0
-    while pos < m:
-        end = pos
-        while end + 1 < m and np.array_equal(keys[order[end + 1]], keys[order[pos]]):
-            end += 1
-        mid = (pos + end) / 2.0 + 1.0
-        ranks[order[pos : end + 1]] = mid
-        pos = end + 1
-    return ranks
+    ordered = keys[order]
+    return _tie_midranks(order, (ordered[1:] != ordered[:-1]).any(axis=1))
 
 
 def friedman(

@@ -27,7 +27,15 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .problems import BudgetExhausted, EvalBudget, Problem, is_better, sample_uniform
+from .problems import (
+    BudgetExhausted,
+    EvalBudget,
+    Problem,
+    best_index,
+    improves,
+    is_better,
+    sample_uniform,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,7 +125,8 @@ class BaseOptimizer:
 
     The hooks make every evaluation, repair and diversity call themselves, so
     an outside tracer that patches those names in the optimizer's module
-    sees each of them.
+    sees each of them. They keep candidates through accept and move the
+    best through track_best (both below), reading problem.constrained.
     """
 
     @classmethod
@@ -172,6 +181,42 @@ class BaseOptimizer:
         self.n_fes_ = budget.used
         self.n_iters_ = int(self.trace_.iters[-1])
         return self
+
+
+def accept(run, candidates, incumbents, constrained: bool) -> bool:
+    """The acceptance step: keep each candidate row that strictly beats its
+    incumbent row under feasibility-first rules, then track the run's best.
+
+    candidates and incumbents are aligned (xs, values, viols) triples; the
+    incumbent arrays are overwritten in place. Returns whether any row
+    improved. When none did, nothing is written and the best is left alone:
+    the best never ranks below an incumbent, so a candidate that cannot beat
+    its row cannot beat the best either.
+    """
+    xs, values, viols = candidates
+    old_xs, old_values, old_viols = incumbents
+    better = improves(values, viols, old_values, old_viols, constrained)
+    if not better.item(better.argmax()):  # most late-run sweeps keep nothing
+        return False
+    # Box-only violations are all zero on both sides.
+    if constrained:
+        np.copyto(old_viols, viols, where=better)
+    np.copyto(old_xs, xs, where=better[:, None])
+    np.copyto(old_values, values, where=better)
+    track_best(run, xs, values, viols, constrained)
+    return True
+
+
+def track_best(run, xs, values, viols, constrained: bool) -> None:
+    """Move run's best to the feasibility-first minimum of the rows (xs,
+    values, viols) when that strictly beats it."""
+    b = best_index(values, viols, constrained)
+    # Python floats compare faster than NumPy scalars.
+    value, viol = values.item(b), viols.item(b)
+    if is_better(value, viol, run.best_value, run.best_viol):
+        run.best_x = xs[b].copy()
+        run.best_value = value
+        run.best_viol = viol
 
 
 def initial_population(

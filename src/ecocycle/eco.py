@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import population_diversity
-from .base import BaseOptimizer, initial_population
+from .base import BaseOptimizer, accept, initial_population, track_best
 from .problems import (
     TOL_FEAS,
     Bounds,
@@ -45,8 +45,6 @@ from .problems import (
     argsort_by_compare,
     best_index,
     evaluate_batch,
-    improves,
-    is_better,
     resample_outside,
 )
 
@@ -154,11 +152,6 @@ def _roulette_cum(values, viols) -> np.ndarray:
     return cum
 
 
-def roulette_select(values, viols, size, rng: np.random.Generator) -> np.ndarray:
-    """Sample indices with replacement, cumulative-scan style."""
-    return _roulette_cum(values, viols).searchsorted(rng.random(size), side="left")
-
-
 def _predation_candidates(x, pools, g, rng: np.random.Generator) -> np.ndarray:
     """The batched predation move behind the three consumer updates.
 
@@ -194,8 +187,7 @@ def _group_pool(state: "EcoState", sl: slice):
     distribution, which is cached until one of the rows changes."""
     cum = state.pool_cums.get(sl.start)
     if cum is None:
-        viols = state.viols[sl] if state.constrained else None
-        cum = state.pool_cums[sl.start] = _roulette_cum(state.values[sl], viols)
+        cum = state.pool_cums[sl.start] = _roulette_cum(state.values[sl], state.viols[sl])
     return (state.x[sl], cum)
 
 
@@ -306,7 +298,6 @@ class EcoState:
     best_x: np.ndarray
     best_value: float
     best_viol: float
-    constrained: bool = False
     k_max: int = 0
     dec_x: Optional[np.ndarray] = None
     dec_values: Optional[np.ndarray] = None
@@ -348,8 +339,7 @@ def init_state(
     counts = partition_counts(pop_size, proportions)
     x = initial_population(problem, pop_size, budget, rng)
     _, values, viols = evaluate_batch(problem, x, budget, rng)
-    constrained = problem.constrained
-    b = best_index(values, viols, constrained)
+    b = best_index(values, viols, problem.constrained)
     return EcoState(
         x=x,
         values=values,
@@ -358,7 +348,6 @@ def init_state(
         best_x=x[b].copy(),
         best_value=float(values[b]),
         best_viol=float(viols[b]),
-        constrained=constrained,
     )
 
 
@@ -373,20 +362,12 @@ def producer_update(state: EcoState) -> None:
         raise RuntimeError("producer re-selection requires a decomposer buffer")
     n_pro = state.counts[0]
     stack_values = np.concatenate((state.values[:n_pro], state.dec_values))
-    if state.constrained:
-        stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
-    # A NaN violation fails the all-feasible test and counts as infeasible.
-    if state.constrained and not stack_viols.item(stack_viols.argmax()) <= TOL_FEAS:
-        keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
-    else:
-        # Every row is feasible, so the feasibility class is constant and a
-        # stable sort on the objective gives the same order.
-        keep = stack_values.argsort(kind="stable")[:n_pro]
+    stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
+    keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
     if keep.tolist() == list(range(n_pro)):
         return  # the producers are still the best rows, already in order
     state.pool_cums.pop(state.sl_pro.start, None)
-    if state.constrained:
-        state.viols[:n_pro] = stack_viols.take(keep)
+    state.viols[:n_pro] = stack_viols.take(keep)
     state.x[:n_pro] = np.concatenate((state.x[:n_pro], state.dec_x)).take(keep, axis=0)
     state.values[:n_pro] = stack_values.take(keep)
 
@@ -450,14 +431,14 @@ class EcoOptimizer(BaseOptimizer):
             rng,
         )
         self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
-        b = best_index(state.values, state.viols, state.constrained)  # the iteration best
+        b = best_index(state.values, state.viols, problem.constrained)  # the iteration best
         candidates = decompose_candidates(state.x, state.x[b], k, state.k_max, problem.bounds, rng)
         candidates = resample_outside(candidates, problem.bounds, rng)
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
         state.dec_x = candidates[:granted]
         state.dec_values = values
         state.dec_viols = viols
-        self._track_best(state, state.dec_x, values, viols)
+        track_best(state, state.dec_x, values, viols, problem.constrained)
         if granted < candidates.shape[0]:
             raise BudgetExhausted("budget ran dry during the decomposition sweep")
 
@@ -465,30 +446,14 @@ class EcoOptimizer(BaseOptimizer):
         n = sl.stop - sl.start
         candidates = resample_outside(candidates, problem.bounds, rng)
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
-        candidates = candidates[:granted]
         rows = slice(sl.start, sl.start + granted)
-        accepted = improves(
-            values, viols, state.values[rows], state.viols[rows], state.constrained
+        kept = accept(
+            state,
+            (candidates[:granted], values, viols),
+            (state.x[rows], state.values[rows], state.viols[rows]),
+            problem.constrained,
         )
-        # Most late-run sweeps accept nothing; skip the masked copies then,
-        # and the best tracking too: the best is never worse than any row,
-        # so a candidate that cannot beat its row cannot beat the best.
-        if accepted.item(accepted.argmax()):
+        if kept:
             state.pool_cums.pop(sl.start, None)
-            if state.constrained:
-                np.copyto(state.viols[rows], viols, where=accepted)
-            np.copyto(state.x[rows], candidates, where=accepted[:, None])
-            np.copyto(state.values[rows], values, where=accepted)
-            self._track_best(state, candidates, values, viols)
         if granted < n:
             raise BudgetExhausted("budget ran dry during a consumer sweep")
-
-    @staticmethod
-    def _track_best(state, xs, values, viols) -> None:
-        b = best_index(values, viols, state.constrained)
-        # Python floats compare faster than NumPy scalars.
-        value, viol = values.item(b), viols.item(b)
-        if is_better(value, viol, state.best_value, state.best_viol):
-            state.best_x = xs[b].copy()
-            state.best_value = value
-            state.best_viol = viol

@@ -287,36 +287,17 @@ class EngineeringProblem:
 
     id: str
     problem: Problem
-    reference: tuple  # (x_star, f_star)
+    reference: tuple  # (x_star, f_star), f_star being problem.known_optimum
 
 
-# id -> (builder, reference point, reference value)
+# id -> (builder, reference point); each builder states the reference value
+# as its problem's known_optimum.
 _CATALOG = {
-    "rc15": (
-        _speed_reducer,
-        (3.5, 0.7, 17.0, 7.3, 7.71531991, 3.35054095, 5.28665446),
-        2994.42447,
-    ),
-    "rc17": (
-        _spring,
-        (0.05168906, 0.35671784, 11.2889601),
-        0.01266523,
-    ),
-    "rc19": (
-        _welded_beam,
-        (0.20572964, 3.25312004, 9.03662391, 0.20572964),
-        1.69524716,
-    ),
-    "rc20": (
-        _three_bar_truss,
-        (0.78867513, 0.40824830),
-        263.895843,
-    ),
-    "rc31": (
-        _gear_train,
-        (49.3000403, 19.3605917, 15.8481360, 42.8673784),
-        2.7009e-12,
-    ),
+    "rc15": (_speed_reducer, (3.5, 0.7, 17.0, 7.3, 7.71531991, 3.35054095, 5.28665446)),
+    "rc17": (_spring, (0.05168906, 0.35671784, 11.2889601)),
+    "rc19": (_welded_beam, (0.20572964, 3.25312004, 9.03662391, 0.20572964)),
+    "rc20": (_three_bar_truss, (0.78867513, 0.40824830)),
+    "rc31": (_gear_train, (49.3000403, 19.3605917, 15.8481360, 42.8673784)),
 }
 
 ENGINEERING_IDS = tuple(_CATALOG)
@@ -327,11 +308,12 @@ def make_engineering(pid: str) -> EngineeringProblem:
     key = pid.lower()
     if key not in _CATALOG:
         raise UnknownFunction(f"unknown engineering problem id: {pid!r}")
-    builder, x_star, f_star = _CATALOG[key]
+    builder, x_star = _CATALOG[key]
+    problem = builder()
     return EngineeringProblem(
         id=key,
-        problem=builder(),
-        reference=(np.asarray(x_star, dtype=float), float(f_star)),
+        problem=problem,
+        reference=(np.asarray(x_star, dtype=float), float(problem.known_optimum)),
     )
 
 

@@ -202,7 +202,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         batches.setdefault((r.problem, r.algorithm), []).append(r)
     summaries = _summary_rows(pids, spec.algorithms, batches)
     _write_summary(out / "summary.csv", summaries)
-    comparison = _comparison_report(pids, spec.algorithms, batches)
+    comparison = _comparison_report(pids, spec.algorithms, batches, summaries)
     (out / "comparison.json").write_text(
         json.dumps(comparison, indent=2, sort_keys=True) + "\n"
     )
@@ -258,7 +258,9 @@ def _write_summary(path: pathlib.Path, rows: Sequence[dict]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _comparison_report(pids, algorithms, batches) -> dict:
+def _comparison_report(pids, algorithms, batches, summaries) -> dict:
+    """Wilcoxon verdicts, win/tie/loss and Friedman ranks; the Friedman keys
+    are the Ave, Min and Std columns of the summary rows."""
     report: dict = {"alpha": 0.05, "problems": list(pids), "algorithms": list(algorithms)}
     if len(algorithms) < 2:
         return report
@@ -286,18 +288,10 @@ def _comparison_report(pids, algorithms, batches) -> dict:
         },
     }
 
-    ave = np.array(
-        [[np.mean(bests[alg][pi]) for alg in algorithms] for pi in range(len(pids))]
-    )
-    mins = np.array(
-        [[np.min(bests[alg][pi]) for alg in algorithms] for pi in range(len(pids))]
-    )
-    stds = np.array(
-        [
-            [np.std(bests[alg][pi], ddof=1) if len(bests[alg][pi]) > 1 else 0.0
-             for alg in algorithms]
-            for pi in range(len(pids))
-        ]
+    cells = {(row["problem"], row["algorithm"]): row for row in summaries}
+    ave, mins, stds = (
+        np.array([[cells[pid, alg][key] for alg in algorithms] for pid in pids])
+        for key in ("ave", "min", "std")
     )
     fr = friedman(ave, mins, stds)
     report["friedman"] = {

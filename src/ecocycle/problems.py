@@ -206,12 +206,18 @@ def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
     objective value and infeasible points by total violation. A NaN key
     ranks last within its feasibility class.
     """
+    # A NaN violation fails the all-feasible test and counts as infeasible.
+    if viols.item(viols.argmax()) <= TOL_FEAS:
+        # Every row is feasible, so the feasibility class is constant and a
+        # stable sort on the objective gives the same order.
+        return values.argsort(kind="stable")
     feasible = viols <= TOL_FEAS
     return np.lexsort((np.where(feasible, values, viols), ~feasible))
 
 
 # The three helpers below take the same decisions as argsort_by_compare
-# with fewer NumPy calls; both optimizers use them.
+# with fewer NumPy calls; base.accept and base.track_best build the shared
+# acceptance step on them, and both optimizers pick bests with best_index.
 # `constrained` is False only when every violation is zero, and then the
 # feasibility-first order is the objective order. A NaN violation counts as
 # infeasible everywhere, because it fails `<= TOL_FEAS`.

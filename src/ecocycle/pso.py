@@ -2,10 +2,11 @@
 
 The canonical velocity/position update with fixed inertia: one particle is
 one candidate, one function evaluation per particle per iteration, and the
-swarm shares a single global best. Constrained problems use the same
-feasibility-first helpers as ECO (`improves`, `best_index`, `is_better`), so
-the baseline is runnable on every shipped problem and ranks a NaN objective
-last when it picks a best.
+swarm shares a single global best. Personal bests are kept by the same
+acceptance step as ECO's consumers (`base.accept`: strict feasibility-first
+improvement, then the global best tracked over the sweep), so the baseline
+is runnable on every shipped problem and ranks a NaN objective last when it
+picks a best.
 
 Two choices the update rule leaves open are pinned here: velocities start at
 zero, and are clamped per dimension to 20% of the box span (unclamped swarms
@@ -20,15 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import population_diversity
-from .base import BaseOptimizer, initial_population
-from .problems import (
-    BudgetExhausted,
-    best_index,
-    evaluate_batch,
-    improves,
-    is_better,
-    resample_outside,
-)
+from .base import BaseOptimizer, accept, initial_population
+from .problems import BudgetExhausted, best_index, evaluate_batch, resample_outside
 
 
 @dataclasses.dataclass
@@ -105,7 +99,7 @@ class PsoOptimizer(BaseOptimizer):
         return population_diversity(swarm.x)
 
     def _step(self, problem, swarm, budget, rng, k) -> None:
-        x, pbest_x, constrained = swarm.x, swarm.pbest_x, problem.constrained
+        x, pbest_x = swarm.x, swarm.pbest_x
         # One draw for both: Generator.random fills in order.
         r1, r2 = rng.random((2,) + x.shape)
         v = self.w * swarm.v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (swarm.best_x - x)
@@ -113,20 +107,11 @@ class PsoOptimizer(BaseOptimizer):
         swarm.v = v = np.minimum(np.maximum(v, -swarm.v_max), swarm.v_max)
         swarm.x = x = resample_outside(x + v, problem.bounds, rng)
         granted, values, viols = evaluate_batch(problem, x, budget, rng)
-        pbest_values, pbest_viols = swarm.pbest_values[:granted], swarm.pbest_viols[:granted]
-        better = improves(values, viols, pbest_values, pbest_viols, constrained)
-        if better.item(better.argmax()):  # some row improved
-            # Box-only violations are all zero on both sides.
-            if constrained:
-                np.copyto(pbest_viols, viols, where=better)
-            np.copyto(pbest_x[:granted], x[:granted], where=better[:, None])
-            np.copyto(pbest_values, values, where=better)
-            rows = better.nonzero()[0]
-            cand = rows[best_index(values[rows], viols[rows], constrained)]
-            value, viol = values.item(cand), viols.item(cand)
-            if is_better(value, viol, swarm.best_value, swarm.best_viol):
-                swarm.best_x = x[cand].copy()
-                swarm.best_value = value
-                swarm.best_viol = viol
+        accept(
+            swarm,
+            (x[:granted], values, viols),
+            (pbest_x[:granted], swarm.pbest_values[:granted], swarm.pbest_viols[:granted]),
+            problem.constrained,
+        )
         if granted < x.shape[0]:
             raise BudgetExhausted("budget ran dry mid-sweep")

@@ -6,10 +6,12 @@ the classic functions' spot values serve the tests alone.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from ecocycle.classic import UnknownFunction
+from ecocycle.eco import _roulette_cum
 from ecocycle.problems import TOL_FEAS, Bounds, is_better
 
 
@@ -57,6 +59,53 @@ def compare_batch(values_a, viols_a, values_b, viols_b) -> np.ndarray:
     out = np.where(feas_a & ~feas_b, -1, out)
     out = np.where(~feas_a & feas_b, 1, out)
     return out
+
+
+def accept_improved_rows(run, candidates, incumbents) -> bool:
+    """The acceptance step in PSO's original form: replace each incumbent row
+    that its candidate strictly beats, then pick the new best among the
+    improved rows only (first compare-minimum) and keep it if it beats the
+    run's best. Returns whether any row improved."""
+    xs, values, viols = candidates
+    old_xs, old_values, old_viols = incumbents
+    better = compare_batch(values, viols, old_values, old_viols) < 0
+    if not better.any():
+        return False
+    old_xs[better] = xs[better]
+    old_values[better] = values[better]
+    old_viols[better] = viols[better]
+    by_compare = functools.cmp_to_key(
+        lambda a, b: compare(Evaluation(values[a], viols[a]), Evaluation(values[b], viols[b]))
+    )
+    best = min(better.nonzero()[0], key=by_compare)  # min keeps the first of equals
+    if is_better(values[best], viols[best], run.best_value, run.best_viol):
+        run.best_x = xs[best].copy()
+        run.best_value = float(values[best])
+        run.best_viol = float(viols[best])
+    return True
+
+
+def row_ranks_loop(keys) -> np.ndarray:
+    """Ascending 1-based mid-ranks of the rows of keys (one lexicographic key
+    tuple per row), grouping each sorted row with the ones after it that
+    np.array_equal finds equal to the group's first row."""
+    m = keys.shape[0]
+    order = np.lexsort(keys.T[::-1])
+    ranks = np.empty(m, dtype=float)
+    pos = 0
+    while pos < m:
+        end = pos
+        while end + 1 < m and np.array_equal(keys[order[end + 1]], keys[order[pos]]):
+            end += 1
+        ranks[order[pos : end + 1]] = (pos + end) / 2.0 + 1.0
+        pos = end + 1
+    return ranks
+
+
+def roulette_select(values, viols, size, rng: np.random.Generator) -> np.ndarray:
+    """Sample indices with replacement, cumulative-scan style: the draw that
+    the consumer update makes inline, one pool at a time."""
+    return _roulette_cum(values, viols).searchsorted(rng.random(size), side="left")
 
 
 def predation_step(x, preys, rands, g) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy import stats as sps
 from ecocycle.analysis import (
     DiversityCurve,
     _midranks,
+    _row_ranks,
     EmptySample,
     FriedmanResult,
     InsufficientGroups,
@@ -29,6 +30,7 @@ from ecocycle.analysis import (
     wilcoxon_rank_sum,
     win_tie_loss,
 )
+from oracles import row_ranks_loop
 
 
 def midranks(values):
@@ -236,6 +238,15 @@ class TestMidranks:
         ranks = _midranks(np.array([1.0, np.nan, 0.0, 1.0]))
         assert np.isnan(ranks).all()
         assert np.isnan(sps.rankdata([1.0, np.nan, 0.0, 1.0])).all()
+
+    def test_row_ranks_match_pairwise_loop(self):
+        # Friedman's tie-break rows: NaN, -0.0 and repeated key tuples.
+        pool = np.append(self.POOL, np.nan)
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            m, n_keys = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            keys = rng.choice(rng.choice(pool, size=int(rng.integers(1, 4))), (m, n_keys))
+            assert _row_ranks(keys).tobytes() == row_ranks_loop(keys).tobytes(), keys
 
 
 class TestFriedman:

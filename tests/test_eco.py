@@ -25,7 +25,6 @@ from ecocycle.eco import (
     predation_factor,
     producer_update,
     roulette_probabilities,
-    roulette_select,
 )
 from ecocycle.engineering import make_engineering
 from ecocycle.problems import (
@@ -40,7 +39,7 @@ from ecocycle.problems import (
     is_better,
 )
 from fit_contract import FitContract
-from oracles import compare_batch, contains, predation_step
+from oracles import compare_batch, contains, predation_step, roulette_select
 
 
 class QueuedRng:
@@ -848,11 +847,10 @@ class TestBoxOnlyPathEquivalence:
     )
     def test_identical_runs(self, fid, dim, max_fes, seed):
         problem = make_classic(fid, dim=dim).problem
+        constrained_problem = self._always_satisfied(problem)
+        assert not problem.constrained and constrained_problem.constrained
         box = EcoOptimizer(max_fes=max_fes, seed=seed).fit(problem)
-        constrained = EcoOptimizer(max_fes=max_fes, seed=seed).fit(
-            self._always_satisfied(problem)
-        )
-        assert not box.state_.constrained and constrained.state_.constrained
+        constrained = EcoOptimizer(max_fes=max_fes, seed=seed).fit(constrained_problem)
         assert np.array_equal(box.best_x_, constrained.best_x_)
         assert box.best_value_ == constrained.best_value_
         assert box.n_fes_ == constrained.n_fes_

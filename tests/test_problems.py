@@ -252,6 +252,27 @@ class TestCompare:
             )
             assert out == expected
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+                    st.floats(allow_nan=True),
+                ),
+                st.sampled_from([0.0, -0.0, 1e-9, TOL_FEAS]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_all_feasible_order_matches_lexsort(self, pairs):
+        # The all-feasible shortcut sorts by value alone.
+        values = np.array([v for v, _ in pairs])
+        viols = np.array([w for _, w in pairs])
+        feasible = viols <= TOL_FEAS
+        want = np.lexsort((np.where(feasible, values, viols), ~feasible))
+        assert argsort_by_compare(values, viols).tolist() == want.tolist()
+
     def test_argsort_matches_pairwise_order(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=30)
