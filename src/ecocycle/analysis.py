@@ -271,30 +271,33 @@ def friedman(
     )
 
 
-def population_diversity(x) -> float:
+def population_diversity(x):
     """Mean absolute deviation from the per-dimension median.
 
     For a population matrix (individuals x dimensions) this averages, over
     dimensions, the mean distance of the individuals from that dimension's
     median: the diversity measure driving the exploration/exploitation
-    split.
+    split. A stack of populations, (runs x individuals x dimensions), gives
+    one diversity per run, each with the bits of its matrix on its own.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a (individuals, dimensions) matrix")
-    n = x.shape[0]
+    if x.ndim not in (2, 3):
+        raise ValueError("expected a (individuals, dimensions) matrix or a stack of them")
+    n = x.shape[-2]
     # Median from a column sort and the mean as a bare sum over size: this
     # sits on the optimizer's per-iteration hot path, where np.median and
     # np.mean cost more in dispatch than in arithmetic on a 30 x 30 matrix.
     half = n // 2
-    ordered = x.T.copy()  # one contiguous row per dimension, sorted in place
+    ordered = x.swapaxes(-1, -2).copy()  # one contiguous row per dimension
     ordered.sort()
     if n % 2:
-        med = ordered[:, half]
+        med = ordered[..., half]
     else:
-        med = 0.5 * (ordered[:, half - 1] + ordered[:, half])
-    dev = np.abs(x - med)
-    return float(np.add.reduce(dev, axis=None) / dev.size)
+        med = 0.5 * (ordered[..., half - 1] + ordered[..., half])
+    dev = np.abs(x - med[..., None, :])
+    if x.ndim == 2:
+        return float(np.add.reduce(dev, axis=None) / dev.size)
+    return np.add.reduce(dev.reshape(x.shape[0], -1), axis=1) / (n * x.shape[2])
 
 
 @dataclasses.dataclass(frozen=True)

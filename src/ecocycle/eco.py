@@ -23,6 +23,13 @@ omnivores (20/30/30/20 by default). Each iteration runs four phases:
 The iteration ceiling is derived from the evaluation budget. The run loop,
 the budget rules and the trace live in base.BaseOptimizer.fit; this module
 supplies its start, step and diversity hooks.
+
+The hooks step a stack of R runs at once (R = 1 for one seed): every state
+array has a leading run axis, each run draws from its own Generator in the
+order a lone run would, and the arithmetic, the evaluations and the
+acceptance run once for the whole stack. Data-dependent choices (which rows
+to repair, how rows are routed among the decomposition strategies, which
+run's producers or prey pools changed) are made per run.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .problems import (
     best_index,
     evaluate_batch,
     resample_outside,
+    select_rows,
+    split_rows,
 )
 
 DEFAULT_PROPORTIONS = (0.2, 0.3, 0.3, 0.2)
@@ -88,12 +97,14 @@ def iteration_ceiling(max_fes: int, counts: Sequence[int]) -> int:
     return max(1, (int(max_fes) - pop_size) // fes_per_iteration(counts))
 
 
-def predation_factor(k: int, k_max: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+def predation_factor(k: int, k_max: int, dim, rng) -> np.ndarray:
     """Per-dimension predation factor for iteration k.
 
     Each component is 1 + 2u * exp(-9 (k/k_max)^3) * (-1)^s with fresh
     u ~ U[0,1) and s ~ {1,2} per dimension, hence always within [-1, 3] and
-    contracting toward 1 as the run matures.
+    contracting toward 1 as the run matures. dim is the dimension D for one
+    run's Generator, or the shape (R, ..., D) of a stack's factors, drawn
+    from its RunStreams, one run after another.
     """
     u = rng.random(dim)
     sign = rng.integers(1, 3, size=dim) * 2.0 - 3.0
@@ -152,51 +163,66 @@ def _roulette_cum(values, viols) -> np.ndarray:
     return cum
 
 
-def _predation_candidates(x, pools, g, rng: np.random.Generator) -> np.ndarray:
-    """The batched predation move behind the three consumer updates.
+def _predation_candidates(x, pools, g, rng) -> np.ndarray:
+    """The batched predation move behind the three consumer updates, for a
+    stack of runs: x is (R, n, D), g the (R, 1, D) predation factors and rng
+    the one run's Generator or the stack's RunStreams.
 
-    pools is a list of ((pool_x, cum), draws): every consumer draws `draws`
-    prey indices per pool from the pool's cumulative roulette distribution,
-    then one fresh scalar per prey term weights that prey's difference
-    vector. All index draws happen pool by pool before the weight block is
-    drawn, all from one rng.random call (Generator.random fills in order).
+    pools is a list of ((rows, cums), draws), rows holding each run's (m, D)
+    pool rows and cums their cumulative roulette distributions: every
+    consumer draws `draws` prey indices per pool from its run's
+    distribution, then one fresh scalar per prey term weights that prey's
+    difference vector. Each run's index draws happen pool by pool before
+    its weight block is drawn, all from one rng.random call
+    (Generator.random fills in order).
     """
-    n = x.shape[0]
+    n_runs, n = x.shape[:2]
     width = sum(draws for _, draws in pools)
-    u = rng.random(2 * n * width)
-    gathered, start = [], 0
-    for (pool_x, cum), draws in pools:
-        stop = start + n * draws
-        index = cum.searchsorted(u[start:stop].reshape(n, draws), side="left")
-        gathered.append(pool_x.take(index, axis=0))  # (n, draws, D)
-        start = stop
-    prey = gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1)
-    rands = u[start:].reshape(n, width)
+    u = rng.random((n_runs, 2 * n * width))
+    prey = []
+    for r in range(n_runs):
+        u_r, gathered, start = u[r], [], 0
+        for (rows, cums), draws in pools:
+            stop = start + n * draws
+            index = cums[r].searchsorted(u_r[start:stop].reshape(n, draws), side="left")
+            gathered.append(rows[r].take(index, axis=0))  # (n, draws, D)
+            start = stop
+        prey.append(gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1))
+    prey = prey[0][None] if n_runs == 1 else np.array(prey)
+    rands = u[:, start:].reshape(n_runs, n, width)
     # sum_t r_t (prey_t - x) = sum_t r_t prey_t - (sum_t r_t) x, which
-    # avoids materializing the (n, draws, D) difference tensor.
-    step = np.einsum("nt,ntd->nd", rands, prey)
-    step -= np.add.reduce(rands, axis=1, keepdims=True) * x
+    # avoids materializing the (R, n, draws, D) difference tensor.
+    step = np.einsum("rnt,rntd->rnd", rands, prey)
+    step -= np.add.reduce(rands, axis=-1, keepdims=True) * x
     # x + g * step, computed in place (IEEE products and sums commute).
     step *= g
     step += x
     return step
 
 
-def _group_pool(state: "EcoState", sl: slice):
-    """A prey pool: the group's rows and their cumulative roulette
-    distribution, which is cached until one of the rows changes."""
-    cum = state.pool_cums.get(sl.start)
-    if cum is None:
-        cum = state.pool_cums[sl.start] = _roulette_cum(state.values[sl], state.viols[sl])
-    return (state.x[sl], cum)
+def _group_pool(state: "EcoState", sl: slice, constrained: bool):
+    """A prey pool: each run's rows of the group and their cumulative
+    roulette distribution, cached until a row of the group changes in some
+    run (rebuilding an unchanged run's distribution gives the same bits).
+    Box-only pools skip the violation scan."""
+    pool = state.pool_cums.get(sl.start)
+    if pool is None:
+        values = state.values[:, sl]
+        if constrained:
+            cums = [_roulette_cum(v, w) for v, w in zip(values, state.viols[:, sl])]
+        else:
+            cums = [_roulette_cum(v, None) for v in values]
+        pool = state.pool_cums[sl.start] = (list(state.x[:, sl]), cums)
+    return pool
 
 
-# Each decomposition strategy works on an (n, D) batch of rows.
-# decompose_candidates feeds them its routed sub-batches and lets each one
-# overwrite its own rows (out may alias xs).
+# Each decomposition strategy works on an (n, D) batch of rows, drawing from
+# rng: one run's Generator, or the RunStreams of the runs owning the rows.
+# decompose_candidates feeds them its routed rows of all runs and lets each
+# one overwrite its own rows (out may alias xs).
 
 
-def decompose_optimal(xs, x_bestk, rng: np.random.Generator, out=None) -> np.ndarray:
+def decompose_optimal(xs, x_bestk, rng, out=None) -> np.ndarray:
     """Decompose toward a randomly scaled neighborhood of the iteration best.
 
     The neighbor scales each best coordinate by a fresh uniform, then the
@@ -209,7 +235,7 @@ def decompose_optimal(xs, x_bestk, rng: np.random.Generator, out=None) -> np.nda
     return np.add(x_nei, offset * (x_nei - xs), out=out)
 
 
-def decompose_local(xs, x_bestk, rng: np.random.Generator, out=None) -> np.ndarray:
+def decompose_local(xs, x_bestk, rng, out=None) -> np.ndarray:
     """Decompose radially: a uniform-length step along a random direction,
     never farther than the individual's distance to the iteration best."""
     n, d = xs.shape
@@ -217,16 +243,14 @@ def decompose_local(xs, x_bestk, rng: np.random.Generator, out=None) -> np.ndarr
     sq = np.einsum("nd,nd->n", v, v)
     while sq.item(sq.argmin()) == 0.0:  # sq >= 0, so this finds any zero
         rows = sq == 0.0
-        v[rows] = 2.0 * rng.random((int(rows.sum()), d)) - 1.0
+        v[rows] = 2.0 * select_rows(rng, rows).random((int(rows.sum()), d)) - 1.0
         sq = np.einsum("nd,nd->n", v, v)
     diff = x_bestk - xs
     radius = np.sqrt(np.einsum("nd,nd->n", diff, diff))[:, None]
     return np.add(xs, rng.random((n, 1)) * radius * (v / np.sqrt(sq)[:, None]), out=out)
 
 
-def decompose_global(
-    xs, k: int, k_max: int, scale: float, rng: np.random.Generator, out=None
-) -> np.ndarray:
+def decompose_global(xs, k: int, k_max: int, scale: float, rng, out=None) -> np.ndarray:
     """Decompose by a decaying global random walk.
 
     The walk amplitude H = cos(u pi) (1 - k/(1.5 k_max))^(5k/k_max) starts
@@ -247,57 +271,72 @@ def decompose_candidates(
     k: int,
     k_max: int,
     bounds: Bounds,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
-    """One decomposition candidate per population row.
+    """One decomposition candidate per population row of each run: x is
+    (R, n, D), x_bestk the (R, D) iteration bests and rng the one run's
+    Generator or the stack's RunStreams.
 
     Per row: u1 < 0.5 selects optimal decomposition; otherwise u2 < 0.5
     selects the local random walk, else the global one. Both uniforms are
-    drawn for every row up front, then each strategy processes its rows as
-    one batch, in row order.
+    drawn for every row up front, then each strategy processes the rows it
+    got, of all runs, as one batch in run and row order.
     """
-    x = np.asarray(x, dtype=float)
-    x_bestk = np.asarray(x_bestk, dtype=float)
-    n = x.shape[0]
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    # Route 0 is optimal, 1 local, 2 global. A stable sort by route gathers
-    # each strategy's rows into one contiguous block that keeps row order.
+    n_runs, n, dim = x.shape
+    u1 = rng.random(n_runs * n)
+    u2 = rng.random(n_runs * n)
+    # Route 0 is optimal, 1 local, 2 global. A stable sort by route, then
+    # run, gathers each strategy's rows into one contiguous block in run and
+    # row order.
     route = (u1 >= 0.5) * (1 + (u2 >= 0.5))
+    if n_runs > 1:
+        route = route * n_runs + np.arange(n_runs).repeat(n)
     order = route.argsort(kind="stable")
-    n_opt, n_loc, n_glo = np.bincount(route, minlength=3).tolist()
-    moved = x.take(order, axis=0)
-    a, b = n_opt, n_opt + n_loc
-    if n_opt:
-        decompose_optimal(moved[:a], x_bestk, rng, out=moved[:a])
-    if n_loc:
-        decompose_local(moved[a:b], x_bestk, rng, out=moved[a:b])
-    if n_glo:
+    counts = np.bincount(route, minlength=3 * n_runs).tolist()
+    opt, loc, glo = counts[:n_runs], counts[n_runs : 2 * n_runs], counts[2 * n_runs :]
+    a = sum(opt)
+    b = a + sum(loc)
+    moved = x.reshape(-1, dim).take(order, axis=0)
+    # One run's best broadcasts over its rows; a stack's is repeated.
+    stacked = n_runs > 1
+    if a:
+        best = x_bestk.repeat(opt, axis=0) if stacked else x_bestk
+        decompose_optimal(moved[:a], best, split_rows(rng, opt) if stacked else rng, out=moved[:a])
+    if b > a:
+        best = x_bestk.repeat(loc, axis=0) if stacked else x_bestk
+        decompose_local(moved[a:b], best, split_rows(rng, loc) if stacked else rng, out=moved[a:b])
+    if b < moved.shape[0]:
         scale = float(np.minimum.reduce(bounds.span))
-        decompose_global(moved[b:], k, k_max, scale, rng, out=moved[b:])
-    out = np.empty_like(x)
+        glo_rng = split_rows(rng, glo) if stacked else rng
+        decompose_global(moved[b:], k, k_max, scale, glo_rng, out=moved[b:])
+    out = np.empty_like(moved)
     out[order] = moved
-    return out
+    return out.reshape(x.shape)
 
 
 @dataclasses.dataclass
 class EcoState:
-    """Mutable run state: the partitioned population plus bookkeeping.
+    """Mutable state of a stack of runs: the partitioned populations plus
+    bookkeeping, with a leading run axis on every array.
 
-    Rows of x are ordered producers, herbivores, carnivores, omnivores. The
-    decomposer buffer holds the latest decomposition output until the next
-    producer re-selection consumes it. pool_cums caches each prey group's
-    roulette distribution by the group's first row; whatever changes a
-    group's rows drops its entry.
+    x is (R, n, D) and values and viols (R, n); the rows of a run are
+    ordered producers, herbivores, carnivores, omnivores. best_x (R, D) and
+    the float lists best_value and best_viol are each run's best. problem is
+    the problem being solved. The decomposer buffer holds the latest
+    decomposition output until the next producer re-selection consumes it.
+    pool_cums caches each prey group's pool (per-run rows and roulette
+    distributions) by the group's first row; whatever changes a group's rows
+    in some run drops its entry.
     """
 
+    problem: Problem
     x: np.ndarray
     values: np.ndarray
     viols: np.ndarray
     counts: tuple[int, int, int, int]
     best_x: np.ndarray
-    best_value: float
-    best_viol: float
+    best_value: list
+    best_viol: list
     k_max: int = 0
     dec_x: Optional[np.ndarray] = None
     dec_values: Optional[np.ndarray] = None
@@ -329,9 +368,10 @@ def init_state(
     pop_size: int,
     proportions,
     budget: EvalBudget,
-    rng: np.random.Generator,
+    rng,
 ) -> EcoState:
-    """Sample, evaluate, and partition the initial population.
+    """Sample, evaluate, and partition the initial population of each run
+    drawing from rng, the one run's Generator or a stack's RunStreams.
 
     Raises BudgetExhausted before evaluating anything when the budget cannot
     cover one evaluation per member.
@@ -340,36 +380,49 @@ def init_state(
     x = initial_population(problem, pop_size, budget, rng)
     _, values, viols = evaluate_batch(problem, x, budget, rng)
     b = best_index(values, viols, problem.constrained)
+    runs = np.arange(x.shape[0])
     return EcoState(
+        problem=problem,
         x=x,
         values=values,
         viols=viols,
         counts=counts,
-        best_x=x[b].copy(),
-        best_value=float(values[b]),
-        best_viol=float(viols[b]),
+        best_x=x[runs, b],
+        best_value=values[runs, b].tolist(),
+        best_viol=viols[runs, b].tolist(),
     )
 
 
 def producer_update(state: EcoState) -> None:
     """Re-select producers from the old producers plus the decomposer buffer.
 
-    Stacks the current producer rows above the buffered decomposers, orders
-    feasibility-first (stable, so producers win ties), and keeps the best
-    N_Pro rows. Costs no evaluations; every row carries a cached value.
+    Per run, stacks the current producer rows above the buffered decomposers,
+    orders feasibility-first (stable, so producers win ties), and keeps the
+    best N_Pro rows; box-only problems order by value alone. Costs no
+    evaluations; every row carries a cached value.
     """
     if state.dec_x is None:
         raise RuntimeError("producer re-selection requires a decomposer buffer")
     n_pro = state.counts[0]
-    stack_values = np.concatenate((state.values[:n_pro], state.dec_values))
-    stack_viols = np.concatenate((state.viols[:n_pro], state.dec_viols))
-    keep = argsort_by_compare(stack_values, stack_viols)[:n_pro]
-    if keep.tolist() == list(range(n_pro)):
-        return  # the producers are still the best rows, already in order
+    stack_values = np.concatenate((state.values[:, :n_pro], state.dec_values), axis=1)
+    constrained = state.problem.constrained
+    if constrained:
+        stack_viols = np.concatenate((state.viols[:, :n_pro], state.dec_viols), axis=1)
+        keep = argsort_by_compare(stack_values, stack_viols)[:, :n_pro]
+    else:
+        keep = stack_values.argsort(kind="stable")[:, :n_pro]
+    if keep.tolist() == [list(range(n_pro))] * keep.shape[0]:
+        return  # in every run the producers are still the best rows, in order
+    # A run whose producers stay rewrites them with the same rows.
     state.pool_cums.pop(state.sl_pro.start, None)
-    state.viols[:n_pro] = stack_viols.take(keep)
-    state.x[:n_pro] = np.concatenate((state.x[:n_pro], state.dec_x)).take(keep, axis=0)
-    state.values[:n_pro] = stack_values.take(keep)
+    n_runs, width = stack_values.shape
+    if n_runs > 1:
+        keep += np.arange(0, n_runs * width, width)[:, None]  # rows of the flattened stacks
+    if constrained:
+        state.viols[:, :n_pro] = stack_viols.take(keep)
+    stack_x = np.concatenate((state.x[:, :n_pro], state.dec_x), axis=1)
+    state.x[:, :n_pro] = stack_x.reshape(n_runs * width, -1).take(keep, axis=0)
+    state.values[:, :n_pro] = stack_values.take(keep)
 
 
 class EcoOptimizer(BaseOptimizer):
@@ -380,12 +433,13 @@ class EcoOptimizer(BaseOptimizer):
     pop_size : population size (default 30).
     proportions : producer/herbivore/carnivore/omnivore fractions, summing
         to 1 (default 0.2/0.3/0.3/0.2).
-    max_fes : evaluation budget; defaults to 10_000 * problem dimension at
-        fit time when left unset.
-    seed : integer seed or numpy Generator for the run's random stream.
+    max_fes : evaluation budget per run; defaults to 10_000 * problem
+        dimension at fit time when left unset.
+    seed : integer seed or numpy Generator for one run's random stream, or a
+        sequence of them for one run per seed, fitted as one stack.
 
     fit(problem) follows the contract of base.BaseOptimizer.fit and also
-    leaves the final run state in state_.
+    leaves the final state of the runs in state_, with its leading run axis.
     """
 
     def __init__(
@@ -406,54 +460,67 @@ class EcoOptimizer(BaseOptimizer):
         self.state_ = state
         return state, state.k_max
 
-    def _diversity(self, state) -> float:
+    def _diversity(self, state) -> np.ndarray:
         return population_diversity(state.x)
 
     def _step(self, problem, state, budget, rng, k) -> None:
         if k != 1:
             producer_update(state)
-        g = predation_factor(k, state.k_max, problem.dim, rng)
+        constrained = problem.constrained
+        g = predation_factor(k, state.k_max, (state.x.shape[0], 1, problem.dim), rng)
         # Prey pools are built right before each sweep needs them, so every
         # pool reflects that group's state after its own update: carnivores
         # see post-update herbivores, omnivores see post-update everything.
         # Producers never move mid-iteration, so their pool is shared.
-        pool_pro = _group_pool(state, state.sl_pro)
-        cand = _predation_candidates(state.x[state.sl_her], [(pool_pro, 3)], g, rng)
+        pool_pro = _group_pool(state, state.sl_pro, constrained)
+        cand = _predation_candidates(state.x[:, state.sl_her], [(pool_pro, 3)], g, rng)
         self._consumer_sweep(problem, state, budget, rng, state.sl_her, cand)
-        pool_her = _group_pool(state, state.sl_her)
-        cand = _predation_candidates(state.x[state.sl_car], [(pool_her, 3)], g, rng)
+        pool_her = _group_pool(state, state.sl_her, constrained)
+        cand = _predation_candidates(state.x[:, state.sl_car], [(pool_her, 3)], g, rng)
         self._consumer_sweep(problem, state, budget, rng, state.sl_car, cand)
-        pool_car = _group_pool(state, state.sl_car)
+        pool_car = _group_pool(state, state.sl_car, constrained)
         cand = _predation_candidates(
-            state.x[state.sl_omn],
+            state.x[:, state.sl_omn],
             [(pool_pro, 1), (pool_her, 1), (pool_car, 2)],
             g,
             rng,
         )
         self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
-        b = best_index(state.values, state.viols, problem.constrained)  # the iteration best
-        candidates = decompose_candidates(state.x, state.x[b], k, state.k_max, problem.bounds, rng)
-        candidates = resample_outside(candidates, problem.bounds, rng)
+        # The iteration bests.
+        n_runs, n, dim = state.x.shape
+        rows = state.x.reshape(-1, dim)
+        b = best_index(state.values, state.viols, constrained)
+        x_bestk = rows.take([i + n * r for r, i in enumerate(b)], axis=0)
+        candidates = decompose_candidates(state.x, x_bestk, k, state.k_max, problem.bounds, rng)
+        flat = candidates.reshape(-1, dim)
+        repaired = resample_outside(flat, problem.bounds, rng)
+        if repaired is not flat:
+            candidates = repaired.reshape(candidates.shape)
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
-        state.dec_x = candidates[:granted]
+        state.dec_x = candidates[:, :granted]
         state.dec_values = values
         state.dec_viols = viols
-        track_best(state, state.dec_x, values, viols, problem.constrained)
-        if granted < candidates.shape[0]:
+        track_best(state, state.dec_x, values, viols, constrained)
+        if granted < candidates.shape[1]:
             raise BudgetExhausted("budget ran dry during the decomposition sweep")
 
     def _consumer_sweep(self, problem, state, budget, rng, sl, candidates) -> None:
         n = sl.stop - sl.start
-        candidates = resample_outside(candidates, problem.bounds, rng)
+        # The repair sees the stack as its run-major (R * n, D) rows.
+        flat = candidates.reshape(-1, problem.dim)
+        repaired = resample_outside(flat, problem.bounds, rng)
+        if repaired is not flat:
+            candidates = repaired.reshape(candidates.shape)
         granted, values, viols = evaluate_batch(problem, candidates, budget, rng)
         rows = slice(sl.start, sl.start + granted)
         kept = accept(
             state,
-            (candidates[:granted], values, viols),
-            (state.x[rows], state.values[rows], state.viols[rows]),
+            (candidates[:, :granted], values, viols),
+            (state.x[:, rows], state.values[:, rows], state.viols[:, rows]),
             problem.constrained,
         )
         if kept:
             state.pool_cums.pop(sl.start, None)
         if granted < n:
             raise BudgetExhausted("budget ran dry during a consumer sweep")
+

@@ -1,8 +1,11 @@
 """Experiment harness: seeded run batches with machine-readable reports.
 
-An experiment is a grid of (problem, algorithm, run index) cells. Every cell
-gets its own seed (base_seed + run index), runs sequentially in a fixed
-order, and lands in the output directory as:
+An experiment is a grid of (problem, algorithm, run index) cells. Run i of
+every cell gets seed base_seed + i. The runs of one (problem, algorithm)
+cell are fitted together, as one stack of their seeds (one optimizer fit
+with a sequence seed, see base.BaseOptimizer.fit), which gives each run the
+same bits as a fit of its seed alone. The cells run sequentially in a fixed
+order and land in the output directory as:
 
   trace_{problem}_{algorithm}_run{i}.csv   per-run convergence trace
   runs.csv                                 one row per run (all cells)
@@ -12,9 +15,10 @@ order, and lands in the output directory as:
   timings.csv                              wall times (informational)
 
 Every file except timings.csv is a pure function of the experiment spec, so
-re-running an experiment reproduces them byte for byte. Floats are written
-with repr-faithful precision (%.17g); consumers that want 9-digit display
-formatting live in the CLI, not here.
+re-running an experiment reproduces them byte for byte. timings.csv gives
+each run of a cell the stack's wall time divided by the number of runs.
+Floats are written with repr-faithful precision (%.17g); consumers that
+want 9-digit display formatting live in the CLI, not here.
 """
 
 from __future__ import annotations
@@ -170,27 +174,27 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     for pid in pids:
         problem = make_problem(pid, spec.dim)
         budget = resolve_budget(problem, spec.max_fes)
+        seeds = [spec.base_seed + i for i in range(spec.runs)]
         for alg in spec.algorithms:
-            for i in range(spec.runs):
-                seed = spec.base_seed + i
-                opt = ALGORITHMS[alg](max_fes=budget, seed=seed)
-                t0 = time.perf_counter()
-                opt.fit(problem)
-                wall = time.perf_counter() - t0
+            opt = ALGORITHMS[alg](max_fes=budget, seed=seeds)
+            t0 = time.perf_counter()
+            opt.fit(problem)
+            wall = (time.perf_counter() - t0) / spec.runs
+            for i, seed in enumerate(seeds):
                 trace_name = f"trace_{pid}_{alg}_run{i}.csv"
-                _write_trace(out / trace_name, opt.trace_)
+                _write_trace(out / trace_name, opt.trace_[i])
                 if alg == "eco" and i == 0:
-                    _write_diversity(out / f"diversity_{pid}_eco.csv", opt.trace_)
+                    _write_diversity(out / f"diversity_{pid}_eco.csv", opt.trace_[i])
                 records.append(
                     RunRecord(
                         problem=pid,
                         algorithm=alg,
                         run_index=i,
                         seed=seed,
-                        best_value=opt.best_value_,
-                        best_violation=opt.best_violation_,
-                        best_x=opt.best_x_,
-                        fes=opt.n_fes_,
+                        best_value=float(opt.best_value_[i]),
+                        best_violation=float(opt.best_violation_[i]),
+                        best_x=opt.best_x_[i],
+                        fes=int(opt.n_fes_[i]),
                         wall_time=wall,
                         trace_path=trace_name,
                     )

@@ -168,39 +168,115 @@ def violation_of(problem: Problem, x: np.ndarray) -> np.ndarray:
     return total
 
 
+class RunStreams:
+    """The random streams of a stack of runs, standing in for one Generator
+    over a run-major batch whose rows are shared out among the runs, each
+    run drawing from its own Generator.
+
+    random(size) and integers(low, high, size) split size[0] into the runs'
+    rows and draw each run's block from that run's Generator, in run order;
+    a run owning no rows draws nothing. Each run thus makes exactly the draws
+    a lone run makes for its own rows, and a stack of runs gets the same bits
+    per run as its runs fitted one at a time. Run r owns counts[r] rows, or,
+    with counts None, an equal share of every batch.
+    """
+
+    __slots__ = ("rngs", "counts")
+
+    def __init__(self, rngs, counts=None):
+        self.rngs = rngs
+        self.counts = counts
+
+    @classmethod
+    def of(cls, rngs):
+        """The streams of the runs with Generators rngs, in equal shares. A
+        single run's Generator stands for itself."""
+        return rngs[0] if len(rngs) == 1 else cls(rngs)
+
+    def _counts(self, n: int) -> list:
+        return self.counts or [n // len(self.rngs)] * len(self.rngs)
+
+    def _blocks(self, draw, size):
+        size = (size,) if isinstance(size, int) else tuple(size)
+        return np.concatenate(
+            [draw(rng, (c,) + size[1:]) for rng, c in zip(self.rngs, self._counts(size[0])) if c]
+        )
+
+    def random(self, size):
+        return self._blocks(lambda rng, shape: rng.random(shape), size)
+
+    def integers(self, low, high, size):
+        return self._blocks(lambda rng, shape: rng.integers(low, high, size=shape), size)
+
+
+def run_count(rng) -> int:
+    """How many runs draw from rng: a Generator is one run."""
+    return len(rng.rngs) if isinstance(rng, RunStreams) else 1
+
+
+def split_rows(rng, counts: list):
+    """The streams of a batch holding counts[r] rows of run r: a lone
+    Generator owns them all."""
+    return RunStreams(rng.rngs, counts) if isinstance(rng, RunStreams) else rng
+
+
+def select_rows(rng, rows: np.ndarray):
+    """The streams of the rows where the boolean mask rows holds, out of a
+    batch drawn from rng."""
+    if not isinstance(rng, RunStreams):
+        return rng
+    ends = np.cumsum(rng._counts(rows.shape[0]))
+    taken = np.concatenate(([0], np.cumsum(rows)))[ends]
+    return RunStreams(rng.rngs, np.diff(taken, prepend=0).tolist())
+
+
 def evaluate_batch(
     problem: Problem,
     xs: np.ndarray,
     budget: EvalBudget,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Evaluate up to budget.remaining rows of xs, one FE per row.
+    """Evaluate up to budget.remaining rows of each run, one FE per row.
+
+    xs is one run's (n, D) batch or a stack of runs' (R, n, D) batches; the
+    budget counts the evaluations of one run, since every run of a stack
+    makes the same ones. The objective and the constraints see the granted
+    rows of all runs as one (R * granted, D) batch. rng is the run's
+    Generator, or the stack's RunStreams; only noisy problems draw from it,
+    one block of granted draws per run.
 
     Returns (granted, values, violations) where granted may be smaller than
-    len(xs) when the budget truncates the batch. Raises BudgetExhausted when
+    n when the budget truncates the batch, and values and violations have
+    xs's leading shape with granted rows. Raises BudgetExhausted when
     nothing remains at all.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != problem.dim:
+    if xs.ndim not in (2, 3) or xs.shape[-1] != problem.dim:
         raise DimensionMismatch(
             f"expected (n, {problem.dim}) batch, got shape {xs.shape}"
         )
-    granted = budget.charge_up_to(xs.shape[0])
-    rows = xs[:granted]
-    values = np.asarray(problem.objective(rows), dtype=float)
+    n = xs.shape[-2]
+    granted = budget.charge_up_to(n)
+    shape = xs.shape[:-2] + (granted,)
+    rows = (xs if granted == n else xs[..., :granted, :]).reshape(-1, problem.dim)
+    values = np.asarray(problem.objective(rows), dtype=float).reshape(shape)
     if problem.noise is not None:
         if rng is None:
             raise ValueError(f"{problem.name} is noisy; an RNG stream is required")
-        values = values + problem.noise(rng, granted)
+        if isinstance(rng, RunStreams):
+            values = values + np.array([problem.noise(r, granted) for r in rng.rngs])
+        else:
+            values = values + problem.noise(rng, granted)
     if problem.constrained:
-        viols = violation_of(problem, rows)
+        viols = violation_of(problem, rows).reshape(shape)
     else:
-        viols = np.zeros(granted, dtype=float)
+        viols = np.zeros(shape, dtype=float)
     return granted, values, viols
 
 
 def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
-    """Stable feasibility-first order, best first.
+    """Stable feasibility-first order, best first, along the last axis (one
+    order per run of a stack).
 
     A feasible point beats an infeasible one; feasible points order by
     objective value and infeasible points by total violation. A NaN key
@@ -223,29 +299,40 @@ def argsort_by_compare(values: np.ndarray, viols: np.ndarray) -> np.ndarray:
 # infeasible everywhere, because it fails `<= TOL_FEAS`.
 
 
-def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> int:
-    """Index of the feasibility-first minimum; first occurrence wins ties.
+def best_index(values: np.ndarray, viols: np.ndarray, constrained: bool) -> list:
+    """Index of the feasibility-first minimum of each run's row of a stack
+    ((R, n) values and violations), as a list; first occurrence wins ties.
 
-    Equals argsort_by_compare(values, viols)[0] for every input. When every
-    row is feasible the feasibility-first order is the objective order, so
-    argmin decides. Otherwise argmin runs over the feasible values, or over
-    the violations when no row is feasible. Only a minimum that is NaN or
-    +inf, where argmin and the stable order can disagree, takes the full
-    feasibility-first sort.
+    Equals argsort_by_compare(values, viols)[:, 0] for every input. When
+    every row is feasible the feasibility-first order is the objective
+    order, so argmin decides for all runs at once. A stack holding an
+    infeasible row picks run by run (_run_best_index).
     """
     # Yes/no tests read the element at argmax/argmin, which costs less than
     # a ufunc reduction and, like one, stops at a NaN.
     if constrained and not viols.item(viols.argmax()) <= TOL_FEAS:
-        feasible = viols <= TOL_FEAS
-        keys = np.where(feasible, values, np.inf) if feasible.item(feasible.argmax()) else viols
-        b = int(keys.argmin())
-        if keys[b] < np.inf:
-            return b
-        return int(argsort_by_compare(values, viols)[0])
-    b = int(values.argmin())
-    # argmin stops at the first NaN; the stable order ranks NaN last.
-    value = values.item(b)
-    if value == value:
+        return [_run_best_index(v, w) for v, w in zip(values, viols)]
+    picks = values.argmin(axis=-1).tolist()
+    for r, b in enumerate(picks):
+        # argmin stops at the first NaN, and the stable order ranks NaN last.
+        low = values.item(r, b)
+        if low != low:
+            picks[r] = int(argsort_by_compare(values[r], viols[r])[0])
+    return picks
+
+
+def _run_best_index(values: np.ndarray, viols: np.ndarray) -> int:
+    """best_index of one run's rows.
+
+    argmin runs over the feasible values (an all-feasible run's keys are its
+    values), or over the violations when no row is feasible. Only a minimum
+    that is NaN or +inf, where argmin and the stable order can disagree,
+    takes the full feasibility-first sort.
+    """
+    feasible = viols <= TOL_FEAS
+    keys = np.where(feasible, values, np.inf) if feasible.item(feasible.argmax()) else viols
+    b = int(keys.argmin())
+    if keys[b] < np.inf:
         return b
     return int(argsort_by_compare(values, viols)[0])
 
@@ -288,18 +375,22 @@ def is_better(value_a: float, viol_a: float, value_b: float, viol_b: float) -> b
     return key_a < key_b or (key_b != key_b and key_a == key_a)
 
 
-def sample_uniform(bounds: Bounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent uniform points in the box, one fresh draw per coordinate."""
+def sample_uniform(bounds: Bounds, n: int, rng) -> np.ndarray:
+    """n independent uniform points in the box, one fresh draw per
+    coordinate. rng is a Generator, or the RunStreams of a stack of runs
+    sharing the n rows out."""
     return bounds.lower + rng.random((n, bounds.dim)) * bounds.span
 
 
-def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
+def resample_outside(xs: np.ndarray, bounds: Bounds, rng) -> np.ndarray:
     """Return xs, with every row that leaves the box resampled uniformly.
 
     The repair is all-or-nothing per row: a single out-of-range or NaN
-    coordinate redraws the whole row, one fresh uniform per coordinate. The
-    whole batch is tested against the box at once; rows are examined one by
-    one only when some coordinate fails.
+    coordinate redraws the whole row, one fresh uniform per coordinate, from
+    the stream of the run that owns the row (rng is one Generator for all
+    rows, or the RunStreams of a run-major stack). The whole batch is
+    tested against the box at once; rows are examined one by one only when
+    some coordinate fails.
     """
     xs = np.asarray(xs, dtype=float)
     common = bounds._common_interval
@@ -314,7 +405,9 @@ def resample_outside(xs: np.ndarray, bounds: Bounds, rng: np.random.Generator) -
         inside = np.logical_and.reduce((xs >= bounds.lower) & (xs <= bounds.upper), axis=-1)
         if not inside.size or inside.item(inside.argmin()):
             return xs
-    rows = (~inside).nonzero()[0]
+    outside = ~inside
+    rows = outside.nonzero()[0]
     out = xs.copy()
-    out[rows] = bounds.lower + rng.random((rows.shape[0], bounds.dim)) * bounds.span
+    draws = select_rows(rng, outside).random((rows.shape[0], bounds.dim))
+    out[rows] = bounds.lower + draws * bounds.span
     return out

@@ -11,6 +11,10 @@ picks a best.
 Two choices the update rule leaves open are pinned here: velocities start at
 zero, and are clamped per dimension to 20% of the box span (unclamped swarms
 diverge on wide boxes, spending the whole budget on repair resamples).
+
+A fit with a sequence of seeds sweeps the swarms of all its runs in one
+array pass, with a leading run axis on every array; each run draws its
+r1, r2 block, its repairs and any objective noise from its own Generator.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from .problems import BudgetExhausted, best_index, evaluate_batch, resample_outs
 
 @dataclasses.dataclass
 class SwarmState:
-    """The swarm between sweeps: positions, velocities, personal bests and
-    the global best."""
+    """The swarms of a stack of runs between sweeps: positions, velocities
+    and personal bests with a leading run axis ((R, n, D) and (R, n)), and
+    each run's global best (best_x (R, D); best_value and best_viol, lists
+    of R floats)."""
 
     x: np.ndarray
     v: np.ndarray
@@ -37,8 +43,8 @@ class SwarmState:
     pbest_values: np.ndarray
     pbest_viols: np.ndarray
     best_x: np.ndarray
-    best_value: float
-    best_viol: float
+    best_value: list
+    best_viol: list
 
 
 class PsoOptimizer(BaseOptimizer):
@@ -50,12 +56,13 @@ class PsoOptimizer(BaseOptimizer):
     c1 : cognitive learning factor (default 2.0).
     c2 : social learning factor (default 2.0).
     w : inertia weight (default 0.8).
-    max_fes : evaluation budget; defaults to 10_000 * problem dimension at
-        fit time when left unset.
-    seed : integer seed or numpy Generator for the run's random stream.
+    max_fes : evaluation budget per run; defaults to 10_000 * problem
+        dimension at fit time when left unset.
+    seed : integer seed or numpy Generator for one run's random stream, or a
+        sequence of them for one run per seed, fitted as one stack.
 
     fit(problem) follows the contract of base.BaseOptimizer.fit; one step is
-    one sweep of the swarm.
+    one sweep of every swarm.
     """
 
     def __init__(
@@ -81,6 +88,7 @@ class PsoOptimizer(BaseOptimizer):
         x = initial_population(problem, pop, budget, rng)
         _, values, viols = evaluate_batch(problem, x, budget, rng)
         b = best_index(values, viols, problem.constrained)
+        runs = np.arange(x.shape[0])
         swarm = SwarmState(
             x=x,
             v=np.zeros_like(x),
@@ -88,30 +96,37 @@ class PsoOptimizer(BaseOptimizer):
             pbest_x=x.copy(),
             pbest_values=values.copy(),
             pbest_viols=viols.copy(),
-            best_x=x[b].copy(),
-            best_value=float(values[b]),
-            best_viol=float(viols[b]),
+            best_x=x[runs, b],
+            best_value=values[runs, b].tolist(),
+            best_viol=viols[runs, b].tolist(),
         )
         # Sweeps until the budget is spent, the last one possibly partial.
         return swarm, -(-budget.remaining // pop)
 
-    def _diversity(self, swarm) -> float:
+    def _diversity(self, swarm) -> np.ndarray:
         return population_diversity(swarm.x)
 
     def _step(self, problem, swarm, budget, rng, k) -> None:
         x, pbest_x = swarm.x, swarm.pbest_x
-        # One draw for both: Generator.random fills in order.
-        r1, r2 = rng.random((2,) + x.shape)
-        v = self.w * swarm.v + self.c1 * r1 * (pbest_x - x) + self.c2 * r2 * (swarm.best_x - x)
+        n_runs, n, dim = x.shape
+        # One draw per run for both: Generator.random fills in order.
+        r = rng.random((n_runs, 2, n, dim))
+        r1, r2 = r[:, 0], r[:, 1]
+        v = (
+            self.w * swarm.v
+            + self.c1 * r1 * (pbest_x - x)
+            + self.c2 * r2 * (swarm.best_x[:, None, :] - x)
+        )
         # np.clip's bits (NaN included) without its Python wrapper.
         swarm.v = v = np.minimum(np.maximum(v, -swarm.v_max), swarm.v_max)
-        swarm.x = x = resample_outside(x + v, problem.bounds, rng)
+        x = resample_outside((x + v).reshape(-1, dim), problem.bounds, rng)
+        swarm.x = x = x.reshape(n_runs, n, dim)
         granted, values, viols = evaluate_batch(problem, x, budget, rng)
         accept(
             swarm,
-            (x[:granted], values, viols),
-            (pbest_x[:granted], swarm.pbest_values[:granted], swarm.pbest_viols[:granted]),
+            (x[:, :granted], values, viols),
+            (pbest_x[:, :granted], swarm.pbest_values[:, :granted], swarm.pbest_viols[:, :granted]),
             problem.constrained,
         )
-        if granted < x.shape[0]:
+        if granted < n:
             raise BudgetExhausted("budget ran dry mid-sweep")

@@ -322,7 +322,9 @@ class TestPredationCandidates:
         pools = [(self.pool(rng, int(rng.integers(2, 10)), d), draws) for draws in layout]
         width = sum(layout)
         u = rng.random(2 * n * width)
-        got = _predation_candidates(x, pools, g, QueuedRng(u))
+        # One run: a leading run axis of length 1, and per-run pool lists.
+        stacked = [(([pool_x], [cum]), draws) for (pool_x, cum), draws in pools]
+        got = _predation_candidates(x[None], stacked, g[None, None], QueuedRng(u[None]))[0]
         # The index draws come pool by pool, then one weight per prey term.
         preys, start = [], 0
         for (pool_x, cum), draws in pools:
@@ -442,8 +444,8 @@ class TestDecomposeCandidates:
             np.array([[0.2]]),  # global: blend weight
         )
         bounds = Bounds(np.array([0.0]), np.array([10.0]))
-        x = np.array([[3.0], [0.0], [1.0]])
-        out = decompose_candidates(x, np.array([10.0]), 1, 2, bounds, rng)
+        x = np.array([[[3.0], [0.0], [1.0]]])  # one run of three rows
+        out = decompose_candidates(x, np.array([[10.0]]), 1, 2, bounds, rng)[0]
         h = (2.0 / 3.0) ** 2.5
         assert out[0] == pytest.approx([5.4])
         assert out[1] == pytest.approx([5.0])
@@ -458,35 +460,37 @@ class TestDecomposeCandidates:
             np.array([[0.5], [0.5]]),
         )
         out = decompose_candidates(
-            np.array([[0.0], [4.0]]),
-            np.array([8.0]),
+            np.array([[[0.0], [4.0]]]),
+            np.array([[8.0]]),
             0,
             10,
             Bounds(np.array([0.0]), np.array([10.0])),
             rng,
         )
-        assert out.shape == (2, 1)
+        assert out.shape == (1, 2, 1)
         assert rng.exhausted()
 
 
 class TestProducerUpdate:
     @staticmethod
     def _state(counts, x, values, dec_x, dec_values):
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
+        """A one-run state: every array gets a leading run axis of length 1."""
+        x = np.asarray(x, dtype=float)[None]
+        values = np.asarray(values, dtype=float)[None]
         viols = np.zeros_like(values)
         state = EcoState(
+            problem=sphere(1),
             x=x,
             values=values,
             viols=viols,
             counts=counts,
-            best_x=x[0].copy(),
-            best_value=float(values.min()),
-            best_viol=0.0,
+            best_x=x[:, 0].copy(),
+            best_value=[float(values.min())],
+            best_viol=[0.0],
         )
-        state.dec_x = np.asarray(dec_x, dtype=float)
-        state.dec_values = np.asarray(dec_values, dtype=float)
-        state.dec_viols = np.zeros(len(dec_values))
+        state.dec_x = np.asarray(dec_x, dtype=float)[None]
+        state.dec_values = np.asarray(dec_values, dtype=float)[None]
+        state.dec_viols = np.zeros((1, len(dec_values)))
         return state
 
     def test_keeps_best_of_producers_and_buffer(self):
@@ -496,10 +500,10 @@ class TestProducerUpdate:
             (2, 3, 3, 2), x, values, [[1.0], [7.0], [20.0], [30.0]], [1, 7, 20, 30]
         )
         producer_update(state)
-        assert state.values[:2].tolist() == [1.0, 5.0]
-        assert state.x[:2].tolist() == [[1.0], [5.0]]
+        assert state.values[0, :2].tolist() == [1.0, 5.0]
+        assert state.x[0, :2].tolist() == [[1.0], [5.0]]
         # non-producer rows untouched
-        assert state.values[2:].tolist() == values[2:].tolist()
+        assert state.values[0, 2:].tolist() == values[2:].tolist()
 
     def test_stable_ties_prefer_incumbent_producer(self):
         values = np.array([5.0, 9.0, 50, 51, 52, 53, 54, 55, 56, 57])
@@ -509,8 +513,8 @@ class TestProducerUpdate:
             (2, 3, 3, 2), x, values, [[200.0], [300.0], [301.0], [302.0]], [5, 60, 61, 62]
         )
         producer_update(state)
-        assert state.values[:2].tolist() == [5.0, 5.0]
-        assert state.x[0, 0] == 100.0
+        assert state.values[0, :2].tolist() == [5.0, 5.0]
+        assert state.x[0, 0, 0] == 100.0
 
     def test_requires_buffer(self):
         values = np.arange(10, dtype=float)
@@ -546,16 +550,16 @@ class TestInitState:
             sphere(3), 30, DEFAULT_PROPORTIONS, budget, np.random.default_rng(0)
         )
         assert budget.used == 30
-        assert state.x.shape == (30, 3)
+        assert state.x.shape == (1, 30, 3)
         assert state.counts == (6, 9, 9, 6)
 
     def test_best_matches_population_minimum(self):
         state = init_state(
             sphere(4), 30, DEFAULT_PROPORTIONS, EvalBudget(100), np.random.default_rng(1)
         )
-        i = int(np.argmin(state.values))
-        assert state.best_value == state.values[i]
-        assert state.best_x == pytest.approx(state.x[i])
+        i = int(np.argmin(state.values[0]))
+        assert state.best_value == [state.values[0, i]]
+        assert state.best_x[0] == pytest.approx(state.x[0, i])
 
     def test_initial_sample_roughly_uniform(self):
         problem = sphere(1, lo=0.0, hi=10.0)
@@ -713,27 +717,30 @@ class TestFeasibilityFastPaths:
         return values, viols
 
     def test_best_index_agrees_with_sorted_order(self):
+        # A stack of one to four runs; best_index picks one index per run.
         rng = np.random.default_rng(11)
         for _ in range(5000):
-            values, viols = self.draw(rng, int(rng.integers(1, 13)))
+            n = int(rng.integers(1, 13))
+            runs = [self.draw(rng, n) for _ in range(int(rng.integers(1, 5)))]
+            values = np.array([v for v, _ in runs])
+            viols = np.array([w for _, w in runs])
             for constrained in (True, False):
                 if not constrained:
                     viols = np.zeros_like(viols)
-                assert best_index(values, viols, constrained) == reference_best_index(
-                    values, viols
-                ), (values, viols, constrained)
+                want = [reference_best_index(v, w) for v, w in zip(values, viols)]
+                assert best_index(values, viols, constrained) == want, (values, viols, constrained)
 
     def test_best_index_ranks_nan_violation_infeasible(self):
-        values = np.array([1.0, 0.0])
-        viols = np.array([0.0, np.nan])
-        assert int(argsort_by_compare(values, viols)[0]) == 0
-        assert best_index(values, viols, True) == 0
+        values = np.array([[1.0, 0.0]])
+        viols = np.array([[0.0, np.nan]])
+        assert int(argsort_by_compare(values[0], viols[0])[0]) == 0
+        assert best_index(values, viols, True) == [0]
 
     def test_best_index_ranks_nan_objective_last(self):
-        values = np.array([np.nan, 1.0, 0.5, np.nan])
+        values = np.array([[np.nan, 1.0, 0.5, np.nan]])
         for constrained in (True, False):
-            assert best_index(values, np.zeros(4), constrained) == 2
-        assert best_index(np.full(3, np.nan), np.zeros(3), False) == 0
+            assert best_index(values, np.zeros((1, 4)), constrained) == [2]
+        assert best_index(np.full((1, 3), np.nan), np.zeros((1, 3)), False) == [0]
 
     def test_improves_agrees_with_compare_batch(self):
         rng = np.random.default_rng(12)

@@ -9,6 +9,8 @@ same-seed-same-bytes promise against the old code rather than against itself.
 Re-record (`PYTHONPATH=src python tests/test_golden.py eco|pso`) only for a
 change that alters seeded output on purpose and says why. Add `--diff` to
 print every fixture key that a re-record would change, without writing.
+Each case is also replayed as one stacked fit of all its seeds, which must
+match the same fixture entries.
 """
 
 import dataclasses
@@ -111,15 +113,21 @@ def column_digest(values, dtype: str) -> str:
 
 def fingerprint(alg: str, problem: Problem, max_fes: int, seed: int) -> dict:
     opt = OPTIMIZERS[alg](max_fes=max_fes, seed=seed).fit(problem)
+    return run_fingerprint(
+        seed, max_fes, opt.best_x_, opt.best_value_, opt.best_violation_, opt.n_fes_, opt.trace_
+    )
+
+
+def run_fingerprint(seed, max_fes, best_x, best_value, best_violation, n_fes, trace) -> dict:
     return {
         "seed": seed,
         "max_fes": max_fes,
-        "best_x": [float(v) for v in opt.best_x_],
-        "best_value": opt.best_value_,
-        "best_violation": opt.best_violation_,
-        "n_fes": opt.n_fes_,
+        "best_x": [float(v) for v in best_x],
+        "best_value": float(best_value),
+        "best_violation": float(best_violation),
+        "n_fes": int(n_fes),
         "trace_sha256": {
-            name: column_digest(getattr(opt.trace_, name), dtype)
+            name: column_digest(getattr(trace, name), dtype)
             for name, dtype in TRACE_COLUMNS.items()
         },
     }
@@ -205,6 +213,31 @@ def test_replays_recorded_run(alg, case_id, factory, max_fes, seed):
     assert same(got["best_value"], expected["best_value"])
     assert same(got["best_violation"], expected["best_violation"])
     assert got["trace_sha256"] == expected["trace_sha256"]
+
+
+@pytest.mark.parametrize(
+    "alg, case_id, factory, max_fes, seeds",
+    [
+        pytest.param(alg, *case, id=case[0] + ("" if alg == "eco" else f"-{alg}"))
+        for alg in OPTIMIZERS
+        for case in CASES
+    ],
+)
+def test_replays_case_seeds_as_one_stack(alg, case_id, factory, max_fes, seeds):
+    # One fit of all the case's seeds, as a stack, against the same fixture.
+    opt = OPTIMIZERS[alg](max_fes=max_fes, seed=list(seeds)).fit(factory())
+    recorded = {r["seed"]: r for r in _golden(alg)[case_id]}
+    for r, seed in enumerate(seeds):
+        got = run_fingerprint(
+            seed,
+            max_fes,
+            opt.best_x_[r],
+            opt.best_value_[r],
+            opt.best_violation_[r],
+            opt.n_fes_[r],
+            opt.trace_[r],
+        )
+        assert diff({case_id: [recorded[seed]]}, {case_id: [got]}) == []
 
 
 def test_fixture_covers_every_case():

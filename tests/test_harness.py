@@ -281,3 +281,55 @@ class TestRunExperiment:
         row = result["summaries"][0]
         assert 0.0 <= row["feasible_rate"] <= 1.0
         assert row["min"] > 263.0
+
+
+class TestStackedCells:
+    """run_experiment fits the runs of each (problem, algorithm) cell as one
+    stack of their seeds. Every report row and trace file must equal what a
+    fit of that cell's problem with the row's seed alone gives."""
+
+    SPEC = dict(
+        suite="single",
+        problems=("f7", "rc17"),  # noisy, and constrained
+        algorithms=("eco", "pso"),
+        dim=3,
+        runs=3,
+        max_fes=400,
+        base_seed=5,
+    )
+
+    def test_rows_and_traces_match_per_seed_fits(self, tmp_path):
+        import csv
+        import pathlib
+
+        from ecocycle.harness import _write_trace
+
+        spec = ExperimentSpec(output_dir=str(tmp_path / "out"), **self.SPEC)
+        run_experiment(spec)
+        out = pathlib.Path(spec.output_dir)
+        with open(out / "runs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 3
+        for row in rows:
+            problem = make_problem(row["problem"], spec.dim)
+            alone = ALGORITHMS[row["algorithm"]](max_fes=400, seed=int(row["seed"])).fit(problem)
+            assert row["best_value"] == "%.17g" % alone.best_value_
+            assert row["best_violation"] == "%.17g" % alone.best_violation_
+            assert row["fes"] == str(alone.n_fes_)
+            assert row["best_x"] == ";".join("%.17g" % v for v in alone.best_x_)
+            _write_trace(tmp_path / "alone.csv", alone.trace_)
+            assert (out / row["trace"]).read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_each_run_gets_the_stack_wall_time_over_runs(self, tmp_path, monkeypatch):
+        import types
+
+        from ecocycle import harness
+
+        ticks = iter(range(0, 1000, 6))  # each timed stack lasts 6 s
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        spec = ExperimentSpec(output_dir=str(tmp_path), **self.SPEC)
+        result = run_experiment(spec)
+        assert {r.wall_time for r in result["records"]} == {2.0}
+        lines = (tmp_path / "timings.csv").read_text().splitlines()
+        assert lines[0] == "problem,algorithm,run,wall_time"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["2"] * 12

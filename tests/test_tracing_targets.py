@@ -68,3 +68,16 @@ def test_every_fit_layer_fires():
     finally:
         tracer.uninstall()
     assert [name for name in FIT_LAYERS if tracer.calls(name) == 0] == []
+
+
+def test_stacked_fit_is_counted_per_run():
+    # The fit hook adds int(n_iters_) and int(n_fes_) per fit; for a stack
+    # those are the totals over its runs.
+    tracer = tracing.Tracer().install()
+    try:
+        opt = EcoOptimizer(max_fes=300, seed=[0, 1, 2]).fit(make_classic("f1", dim=5).problem)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["fits:EcoOptimizer"] == 1
+    assert tracer.counts["iters:EcoOptimizer"] == sum(opt.n_iters_.tolist())
+    assert tracer.counts["evals:EcoOptimizer"] == sum(opt.n_fes_.tolist())
