@@ -103,8 +103,8 @@ def predation_factor(k: int, k_max: int, dim, rng) -> np.ndarray:
     Each component is 1 + 2u * exp(-9 (k/k_max)^3) * (-1)^s with fresh
     u ~ U[0,1) and s ~ {1,2} per dimension, hence always within [-1, 3] and
     contracting toward 1 as the run matures. dim is the dimension D for one
-    run's Generator, or the shape (R, ..., D) of a stack's factors, drawn
-    from its RunStreams, one run after another.
+    run's Generator, or the (R, D) shape of a stack's factors, drawn from
+    its RunStreams one run after another.
     """
     u = rng.random(dim)
     sign = rng.integers(1, 3, size=dim) * 2.0 - 3.0
@@ -168,8 +168,8 @@ def _predation_candidates(x, pools, g, rng) -> np.ndarray:
     stack of runs: x is (R, n, D), g the (R, 1, D) predation factors and rng
     the one run's Generator or the stack's RunStreams.
 
-    pools is a list of ((rows, cums), draws), rows holding each run's (m, D)
-    pool rows and cums their cumulative roulette distributions: every
+    pools is a list of ((rows, cums), draws), rows the (R, m, D) pool rows
+    and cums each run's cumulative roulette distribution: every
     consumer draws `draws` prey indices per pool from its run's
     distribution, then one fresh scalar per prey term weights that prey's
     difference vector. Each run's index draws happen pool by pool before
@@ -212,7 +212,7 @@ def _group_pool(state: "EcoState", sl: slice, constrained: bool):
             cums = [_roulette_cum(v, w) for v, w in zip(values, state.viols[:, sl])]
         else:
             cums = [_roulette_cum(v, None) for v in values]
-        pool = state.pool_cums[sl.start] = (list(state.x[:, sl]), cums)
+        pool = state.pool_cums[sl.start] = (state.x[:, sl], cums)
     return pool
 
 
@@ -467,7 +467,7 @@ class EcoOptimizer(BaseOptimizer):
         if k != 1:
             producer_update(state)
         constrained = problem.constrained
-        g = predation_factor(k, state.k_max, (state.x.shape[0], 1, problem.dim), rng)
+        g = predation_factor(k, state.k_max, (state.x.shape[0], problem.dim), rng)[:, None, :]
         # Prey pools are built right before each sweep needs them, so every
         # pool reflects that group's state after its own update: carnivores
         # see post-update herbivores, omnivores see post-update everything.

@@ -77,10 +77,15 @@ def test_smallest_population_in_one_dimension(alg):
 # ECO on 30 members: 30 initial evaluations, then 9 herbivores, 9 carnivores,
 # 6 omnivores and 30 decompositions per iteration.
 @pytest.mark.parametrize(
-    "max_fes, where",
-    [(35, "herbivore sweep"), (45, "carnivore sweep"), (83, "decomposition sweep"), (300, "iteration 5")],
+    "max_fes",
+    [
+        pytest.param(35, id="herbivore-sweep"),
+        pytest.param(45, id="carnivore-sweep"),
+        pytest.param(83, id="decomposition-sweep"),
+        pytest.param(300, id="iteration-5"),
+    ],
 )
-def test_eco_budget_runs_dry_inside_a_step(max_fes, where):
+def test_eco_budget_runs_dry_inside_a_step(max_fes):
     problem = make_classic("f1", dim=5).problem
     assert_stack_matches_separate(EcoOptimizer, problem, (1, 2, 7), max_fes=max_fes)
 
