@@ -11,40 +11,6 @@ problems compiles and loads only ``problems`` and ``classic``.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bounds",
-    "BudgetExhausted",
-    "CLASSIC_IDS",
-    "ClassicFunction",
-    "DimensionMismatch",
-    "DiversityCurve",
-    "ENGINEERING_IDS",
-    "EcoOptimizer",
-    "EngineeringProblem",
-    "EvalBudget",
-    "ExperimentSpec",
-    "FriedmanResult",
-    "PairwiseVerdict",
-    "Problem",
-    "PsoOptimizer",
-    "RunRecord",
-    "RunSummary",
-    "RunTrace",
-    "TOL_FEAS",
-    "UnknownFunction",
-    "constraint_report",
-    "friedman",
-    "make_classic",
-    "make_engineering",
-    "make_problem",
-    "population_diversity",
-    "resolve_budget",
-    "run_experiment",
-    "summarize",
-    "wilcoxon_rank_sum",
-    "win_tie_loss",
-]
-
 # Where each exported name lives.
 _SOURCES = {
     "Bounds": "problems",
@@ -79,6 +45,7 @@ _SOURCES = {
     "resolve_budget": "harness",
     "run_experiment": "harness",
 }
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name):

@@ -1,8 +1,8 @@
 """Estimator plumbing and the one fit loop shared by the optimizers.
 
-Optimizers follow the familiar estimator shape: hyperparameters are plain
-keyword arguments stored verbatim on the instance, get_params/set_params
-round-trip them, and fit(problem) runs the search. Every optimizer inherits
+Each optimizer is a dataclass whose fields are its hyperparameters, in the
+order its keywords take them (dataclasses.replace copies one with new
+values), and fit(problem) runs the search. Every optimizer inherits
 BaseOptimizer.fit, which holds the run protocol:
 
 - seed is one seed (an int, None or a Generator) for one run, or a sequence
@@ -29,7 +29,6 @@ BaseOptimizer.fit, which holds the run protocol:
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -148,12 +147,10 @@ class TraceRecorder:
 
 
 class BaseOptimizer:
-    """Parameter handling and the shared fit for population optimizers.
+    """The shared fit for population optimizers.
 
-    Subclasses declare hyperparameters as explicit __init__ keywords and
-    store each under its own name (pop_size, max_fes and seed among them);
-    get_params/set_params then work by signature introspection, the usual
-    estimator contract. A subclass supplies three hooks to fit:
+    A subclass is a dataclass holding its hyperparameters (pop_size, max_fes
+    and seed among them) and supplies three hooks to fit:
 
     - _start(problem, budget, rng) -> (run, n_steps) evaluates the initial
       population of each run; rng is the one run's Generator, or the
@@ -170,33 +167,6 @@ class BaseOptimizer:
     through accept and move the bests through track_best (both below),
     reading problem.constrained.
     """
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind != inspect.Parameter.VAR_KEYWORD
-        ]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseOptimizer":
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(valid)}"
-                )
-            setattr(self, key, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def fit(self, problem: Problem):
         """Run the search on problem, under the contract in the module docstring."""

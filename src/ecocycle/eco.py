@@ -20,9 +20,11 @@ omnivores (20/30/30/20 by default). Each iteration runs four phases:
    through the next producer re-selection.
 4. The global best tracks the feasibility-first minimum over every evaluation made.
 
-The iteration ceiling is derived from the evaluation budget. The run loop,
-the budget rules and the trace live in base.BaseOptimizer.fit; this module
-supplies its start, step and diversity hooks.
+EcoOptimizer holds the paper's hyperparameters, the population size and
+the four group proportions, as dataclass fields next to the budget and the
+seed. The iteration ceiling is derived from the evaluation budget. The run
+loop, the budget rules and the trace live in base.BaseOptimizer.fit; this
+module supplies its start, step and diversity hooks.
 
 The hooks step a stack of R runs at once (R = 1 for one seed): every state
 array has a leading run axis, each run draws from its own Generator in the
@@ -35,7 +37,6 @@ run's producers or prey pools changed) are made per run.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Optional, Sequence
 
@@ -47,7 +48,6 @@ from .problems import (
     TOL_FEAS,
     Bounds,
     BudgetExhausted,
-    EvalBudget,
     Problem,
     argsort_by_compare,
     best_index,
@@ -301,14 +301,13 @@ def decompose_candidates(
     stacked = n_runs > 1
     if a:
         best = x_bestk.repeat(opt, axis=0) if stacked else x_bestk
-        decompose_optimal(moved[:a], best, split_rows(rng, opt) if stacked else rng, out=moved[:a])
+        decompose_optimal(moved[:a], best, split_rows(rng, opt), out=moved[:a])
     if b > a:
         best = x_bestk.repeat(loc, axis=0) if stacked else x_bestk
-        decompose_local(moved[a:b], best, split_rows(rng, loc) if stacked else rng, out=moved[a:b])
+        decompose_local(moved[a:b], best, split_rows(rng, loc), out=moved[a:b])
     if b < moved.shape[0]:
         scale = float(np.minimum.reduce(bounds.span))
-        glo_rng = split_rows(rng, glo) if stacked else rng
-        decompose_global(moved[b:], k, k_max, scale, glo_rng, out=moved[b:])
+        decompose_global(moved[b:], k, k_max, scale, split_rows(rng, glo), out=moved[b:])
     out = np.empty_like(moved)
     out[order] = moved
     return out.reshape(x.shape)
@@ -320,13 +319,14 @@ class EcoState:
     bookkeeping, with a leading run axis on every array.
 
     x is (R, n, D) and values and viols (R, n); the rows of a run are
-    ordered producers, herbivores, carnivores, omnivores. best_x (R, D) and
-    the float lists best_value and best_viol are each run's best. problem is
-    the problem being solved. The decomposer buffer holds the latest
-    decomposition output until the next producer re-selection consumes it.
-    pool_cums caches each prey group's pool (per-run rows and roulette
-    distributions) by the group's first row; whatever changes a group's rows
-    in some run drops its entry.
+    ordered producers, herbivores, carnivores, omnivores, counts[i] rows in
+    group i, at the slice groups[i] of the run's rows. k_max is the
+    iteration ceiling. best_x (R, D) and the float lists best_value and
+    best_viol are each run's best. problem is the problem being solved. The
+    decomposer buffer holds the latest decomposition output until the next
+    producer re-selection consumes it. pool_cums caches each prey group's
+    pool (per-run rows and roulette distributions) by the group's first row;
+    whatever changes a group's rows in some run drops its entry.
     """
 
     problem: Problem
@@ -334,63 +334,15 @@ class EcoState:
     values: np.ndarray
     viols: np.ndarray
     counts: tuple[int, int, int, int]
+    groups: tuple[slice, slice, slice, slice]
+    k_max: int
     best_x: np.ndarray
     best_value: list
     best_viol: list
-    k_max: int = 0
     dec_x: Optional[np.ndarray] = None
     dec_values: Optional[np.ndarray] = None
     dec_viols: Optional[np.ndarray] = None
     pool_cums: dict = dataclasses.field(default_factory=dict)
-
-    @functools.cached_property
-    def sl_pro(self) -> slice:
-        return slice(0, self.counts[0])
-
-    @functools.cached_property
-    def sl_her(self) -> slice:
-        n_pro, n_her = self.counts[0], self.counts[1]
-        return slice(n_pro, n_pro + n_her)
-
-    @functools.cached_property
-    def sl_car(self) -> slice:
-        start = self.counts[0] + self.counts[1]
-        return slice(start, start + self.counts[2])
-
-    @functools.cached_property
-    def sl_omn(self) -> slice:
-        start = self.counts[0] + self.counts[1] + self.counts[2]
-        return slice(start, start + self.counts[3])
-
-
-def init_state(
-    problem: Problem,
-    pop_size: int,
-    proportions,
-    budget: EvalBudget,
-    rng,
-) -> EcoState:
-    """Sample, evaluate, and partition the initial population of each run
-    drawing from rng, the one run's Generator or a stack's RunStreams.
-
-    Raises BudgetExhausted before evaluating anything when the budget cannot
-    cover one evaluation per member.
-    """
-    counts = partition_counts(pop_size, proportions)
-    x = initial_population(problem, pop_size, budget, rng)
-    _, values, viols = evaluate_batch(problem, x, budget, rng)
-    b = best_index(values, viols, problem.constrained)
-    runs = np.arange(x.shape[0])
-    return EcoState(
-        problem=problem,
-        x=x,
-        values=values,
-        viols=viols,
-        counts=counts,
-        best_x=x[runs, b],
-        best_value=values[runs, b].tolist(),
-        best_viol=viols[runs, b].tolist(),
-    )
 
 
 def producer_update(state: EcoState) -> None:
@@ -414,7 +366,7 @@ def producer_update(state: EcoState) -> None:
     if keep.tolist() == [list(range(n_pro))] * keep.shape[0]:
         return  # in every run the producers are still the best rows, in order
     # A run whose producers stay rewrites them with the same rows.
-    state.pool_cums.pop(state.sl_pro.start, None)
+    state.pool_cums.pop(0, None)
     n_runs, width = stack_values.shape
     if n_runs > 1:
         keep += np.arange(0, n_runs * width, width)[:, None]  # rows of the flattened stacks
@@ -425,8 +377,9 @@ def producer_update(state: EcoState) -> None:
     state.values[:, :n_pro] = stack_values.take(keep)
 
 
+@dataclasses.dataclass(eq=False)
 class EcoOptimizer(BaseOptimizer):
-    """Ecological cycle optimizer with an estimator-style interface.
+    """Ecological cycle optimizer; its hyperparameters are its fields.
 
     Parameters
     ----------
@@ -442,23 +395,35 @@ class EcoOptimizer(BaseOptimizer):
     leaves the final state of the runs in state_, with its leading run axis.
     """
 
-    def __init__(
-        self,
-        pop_size: int = 30,
-        proportions=DEFAULT_PROPORTIONS,
-        max_fes: Optional[int] = None,
-        seed=None,
-    ):
-        self.pop_size = pop_size
-        self.proportions = proportions
-        self.max_fes = max_fes
-        self.seed = seed
+    pop_size: int = 30
+    proportions: Sequence[float] = DEFAULT_PROPORTIONS
+    max_fes: Optional[int] = None
+    seed: object = None
 
     def _start(self, problem, budget, rng):
-        state = init_state(problem, int(self.pop_size), self.proportions, budget, rng)
-        state.k_max = iteration_ceiling(budget.max_fes, state.counts)
-        self.state_ = state
-        return state, state.k_max
+        """Sample, evaluate and partition the initial population of each run
+        drawing from rng. Raises BudgetExhausted before evaluating anything
+        when the budget cannot cover one evaluation per member."""
+        pop_size = int(self.pop_size)
+        counts = partition_counts(pop_size, self.proportions)
+        x = initial_population(problem, pop_size, budget, rng)
+        _, values, viols = evaluate_batch(problem, x, budget, rng)
+        b = best_index(values, viols, problem.constrained)
+        runs = np.arange(x.shape[0])
+        k_max = iteration_ceiling(budget.max_fes, counts)
+        self.state_ = EcoState(
+            problem=problem,
+            x=x,
+            values=values,
+            viols=viols,
+            counts=counts,
+            groups=tuple(slice(sum(counts[:i]), sum(counts[: i + 1])) for i in range(4)),
+            k_max=k_max,
+            best_x=x[runs, b],
+            best_value=values[runs, b].tolist(),
+            best_viol=viols[runs, b].tolist(),
+        )
+        return self.state_, k_max
 
     def _diversity(self, state) -> np.ndarray:
         return population_diversity(state.x)
@@ -467,25 +432,23 @@ class EcoOptimizer(BaseOptimizer):
         if k != 1:
             producer_update(state)
         constrained = problem.constrained
+        pro, her, car, omn = state.groups
         g = predation_factor(k, state.k_max, (state.x.shape[0], problem.dim), rng)[:, None, :]
         # Prey pools are built right before each sweep needs them, so every
         # pool reflects that group's state after its own update: carnivores
         # see post-update herbivores, omnivores see post-update everything.
         # Producers never move mid-iteration, so their pool is shared.
-        pool_pro = _group_pool(state, state.sl_pro, constrained)
-        cand = _predation_candidates(state.x[:, state.sl_her], [(pool_pro, 3)], g, rng)
-        self._consumer_sweep(problem, state, budget, rng, state.sl_her, cand)
-        pool_her = _group_pool(state, state.sl_her, constrained)
-        cand = _predation_candidates(state.x[:, state.sl_car], [(pool_her, 3)], g, rng)
-        self._consumer_sweep(problem, state, budget, rng, state.sl_car, cand)
-        pool_car = _group_pool(state, state.sl_car, constrained)
+        pool_pro = _group_pool(state, pro, constrained)
+        cand = _predation_candidates(state.x[:, her], [(pool_pro, 3)], g, rng)
+        self._consumer_sweep(problem, state, budget, rng, her, cand)
+        pool_her = _group_pool(state, her, constrained)
+        cand = _predation_candidates(state.x[:, car], [(pool_her, 3)], g, rng)
+        self._consumer_sweep(problem, state, budget, rng, car, cand)
+        pool_car = _group_pool(state, car, constrained)
         cand = _predation_candidates(
-            state.x[:, state.sl_omn],
-            [(pool_pro, 1), (pool_her, 1), (pool_car, 2)],
-            g,
-            rng,
+            state.x[:, omn], [(pool_pro, 1), (pool_her, 1), (pool_car, 2)], g, rng
         )
-        self._consumer_sweep(problem, state, budget, rng, state.sl_omn, cand)
+        self._consumer_sweep(problem, state, budget, rng, omn, cand)
         # The iteration bests.
         n_runs, n, dim = state.x.shape
         rows = state.x.reshape(-1, dim)

@@ -8,6 +8,9 @@ improvement, then the global best tracked over the sweep), so the baseline
 is runnable on every shipped problem and ranks a NaN objective last when it
 picks a best.
 
+PsoOptimizer holds the swarm size, c1, c2 and w as dataclass fields next
+to the budget and the seed.
+
 Two choices the update rule leaves open are pinned here: velocities start at
 zero, and are clamped per dimension to 20% of the box span (unclamped swarms
 diverge on wide boxes, spending the whole budget on repair resamples).
@@ -47,8 +50,9 @@ class SwarmState:
     best_viol: list
 
 
+@dataclasses.dataclass(eq=False)
 class PsoOptimizer(BaseOptimizer):
-    """Particle swarm optimizer with an estimator-style interface.
+    """Particle swarm optimizer; its hyperparameters are its fields.
 
     Parameters
     ----------
@@ -65,21 +69,12 @@ class PsoOptimizer(BaseOptimizer):
     one sweep of every swarm.
     """
 
-    def __init__(
-        self,
-        pop_size: int = 30,
-        c1: float = 2.0,
-        c2: float = 2.0,
-        w: float = 0.8,
-        max_fes: Optional[int] = None,
-        seed=None,
-    ):
-        self.pop_size = pop_size
-        self.c1 = c1
-        self.c2 = c2
-        self.w = w
-        self.max_fes = max_fes
-        self.seed = seed
+    pop_size: int = 30
+    c1: float = 2.0
+    c2: float = 2.0
+    w: float = 0.8
+    max_fes: Optional[int] = None
+    seed: object = None
 
     def _start(self, problem, budget, rng):
         pop = int(self.pop_size)

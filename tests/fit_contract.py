@@ -4,6 +4,7 @@ A test class mixes FitContract in and names its optimizer class, so every
 optimizer runs the same checks under its own test ids.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -21,6 +22,24 @@ def budget_message(max_fes, pop):
 class FitContract:
     optimizer = None  # the optimizer class under test
     invalid_pop = None  # a pop_size that its fit rejects with ValueError
+    seeded_repr = None  # repr(optimizer(seed=7))
+    field_names = None  # the hyperparameters, in keyword order
+
+    def test_repr_names_every_hyperparameter(self):
+        assert repr(self.optimizer(seed=7)) == self.seeded_repr
+
+    def test_fields_keep_keyword_order(self):
+        assert [f.name for f in dataclasses.fields(self.optimizer)] == list(self.field_names)
+        # Positional arguments bind in that order too.
+        values = dataclasses.astuple(self.optimizer(seed=7))
+        assert dataclasses.astuple(self.optimizer(*values)) == values
+
+    @pytest.mark.parametrize("seed", [3, [3, 4]])
+    def test_fit_leaves_fields_unchanged(self, seed):
+        opt = self.optimizer(max_fes=200, seed=seed)
+        before = dataclasses.asdict(opt)
+        opt.fit(make_classic("f1", dim=2).problem)
+        assert dataclasses.asdict(opt) == before
 
     def test_budget_below_population_raises_from_fit(self):
         # No run starts without one evaluation per member, and the

@@ -1,5 +1,6 @@
 """Tests for the ecological cycle optimizer and its building blocks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from ecocycle.eco import (
     decompose_local,
     decompose_optimal,
     fes_per_iteration,
-    init_state,
     iteration_ceiling,
     partition_counts,
     predation_factor,
@@ -484,6 +484,8 @@ class TestProducerUpdate:
             values=values,
             viols=viols,
             counts=counts,
+            groups=tuple(slice(sum(counts[:i]), sum(counts[: i + 1])) for i in range(4)),
+            k_max=1,
             best_x=x[:, 0].copy(),
             best_value=[float(values.min())],
             best_viol=[0.0],
@@ -539,23 +541,21 @@ class TestInitState:
             objective=counting,
         )
         with pytest.raises(BudgetExhausted):
-            init_state(
-                problem, 30, DEFAULT_PROPORTIONS, EvalBudget(29), np.random.default_rng(0)
-            )
+            EcoOptimizer(pop_size=30)._start(problem, EvalBudget(29), np.random.default_rng(0))
         assert calls == []
 
     def test_charges_exactly_pop_size(self):
         budget = EvalBudget(1000)
-        state = init_state(
-            sphere(3), 30, DEFAULT_PROPORTIONS, budget, np.random.default_rng(0)
-        )
+        state, k_max = EcoOptimizer(pop_size=30)._start(sphere(3), budget, np.random.default_rng(0))
         assert budget.used == 30
         assert state.x.shape == (1, 30, 3)
         assert state.counts == (6, 9, 9, 6)
+        assert state.groups == (slice(0, 6), slice(6, 15), slice(15, 24), slice(24, 30))
+        assert k_max == state.k_max == iteration_ceiling(1000, state.counts)
 
     def test_best_matches_population_minimum(self):
-        state = init_state(
-            sphere(4), 30, DEFAULT_PROPORTIONS, EvalBudget(100), np.random.default_rng(1)
+        state, _ = EcoOptimizer(pop_size=30)._start(
+            sphere(4), EvalBudget(100), np.random.default_rng(1)
         )
         i = int(np.argmin(state.values[0]))
         assert state.best_value == [state.values[0, i]]
@@ -563,8 +563,8 @@ class TestInitState:
 
     def test_initial_sample_roughly_uniform(self):
         problem = sphere(1, lo=0.0, hi=10.0)
-        state = init_state(
-            problem, 3000, DEFAULT_PROPORTIONS, EvalBudget(3000), np.random.default_rng(2)
+        state, _ = EcoOptimizer(pop_size=3000)._start(
+            problem, EvalBudget(3000), np.random.default_rng(2)
         )
         assert abs(state.x.mean() - 5.0) < 0.2  # se of the mean is ~0.053
         assert state.x.min() >= 0.0 and state.x.max() <= 10.0
@@ -573,6 +573,10 @@ class TestInitState:
 class TestEcoOptimizerFit(FitContract):
     optimizer = EcoOptimizer
     invalid_pop = 3  # with max_fes=1 this also fails the budget check
+    seeded_repr = (
+        "EcoOptimizer(pop_size=30, proportions=(0.2, 0.3, 0.3, 0.2), max_fes=None, seed=7)"
+    )
+    field_names = ("pop_size", "proportions", "max_fes", "seed")
 
     def test_deterministic_given_seed(self):
         problem = make_classic("f1", dim=5).problem
@@ -674,27 +678,29 @@ class TestEcoOptimizerFit(FitContract):
 
 
 class TestEstimatorContract:
-    def test_get_set_params_roundtrip(self):
+    def test_asdict_replace_roundtrip(self):
         opt = EcoOptimizer(pop_size=40, max_fes=500, seed=2)
-        params = opt.get_params()
+        params = dataclasses.asdict(opt)
         assert params == {
             "pop_size": 40,
             "proportions": DEFAULT_PROPORTIONS,
             "max_fes": 500,
             "seed": 2,
         }
-        clone = EcoOptimizer().set_params(**params)
-        assert clone.get_params() == params
+        clone = dataclasses.replace(EcoOptimizer(), **params)
+        assert dataclasses.asdict(clone) == params
 
     def test_clone_reproduces_fit(self):
         problem = make_classic("f1", dim=3).problem
         opt = EcoOptimizer(max_fes=300, seed=21)
-        clone = EcoOptimizer(**opt.get_params())
+        clone = EcoOptimizer(**dataclasses.asdict(opt))
         assert opt.fit(problem).best_value_ == clone.fit(problem).best_value_
 
     def test_invalid_param_rejected(self):
-        with pytest.raises(ValueError, match="invalid parameter"):
-            EcoOptimizer().set_params(population=10)
+        with pytest.raises(TypeError, match="population"):
+            EcoOptimizer(population=10)
+        with pytest.raises(TypeError, match="population"):
+            dataclasses.replace(EcoOptimizer(), population=10)
 
 
 def reference_best_index(values, viols):

@@ -16,7 +16,7 @@ from oracles import contains
 class TestDefaults:
     def test_parameter_values(self):
         opt = PsoOptimizer()
-        assert opt.get_params() == {
+        assert dataclasses.asdict(opt) == {
             "pop_size": 30,
             "c1": 2.0,
             "c2": 2.0,
@@ -25,16 +25,20 @@ class TestDefaults:
             "seed": None,
         }
 
-    def test_set_params_roundtrip(self):
-        opt = PsoOptimizer().set_params(w=0.5, max_fes=900, seed=4)
+    def test_replace_roundtrip(self):
+        opt = dataclasses.replace(PsoOptimizer(), w=0.5, max_fes=900, seed=4)
         assert opt.w == 0.5
-        clone = PsoOptimizer(**opt.get_params())
-        assert clone.get_params() == opt.get_params()
+        clone = PsoOptimizer(**dataclasses.asdict(opt))
+        assert dataclasses.asdict(clone) == dataclasses.asdict(opt)
 
 
 class TestFitMechanics(FitContract):
     optimizer = PsoOptimizer
     invalid_pop = 0
+    seeded_repr = (
+        "PsoOptimizer(pop_size=30, c1=2.0, c2=2.0, w=0.8, max_fes=None, seed=7)"
+    )
+    field_names = ("pop_size", "c1", "c2", "w", "max_fes", "seed")
 
     def test_single_particle_is_stationary(self):
         # with one particle, pbest and gbest coincide with x, so every
