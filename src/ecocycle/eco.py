@@ -134,19 +134,29 @@ def roulette_probabilities(values, viols=None) -> np.ndarray:
 def _roulette_weights(values, viols) -> tuple[np.ndarray, bool]:
     """Unnormalized weights of roulette_probabilities, and whether they are
     reciprocal ranks. The shift is summed as f + (0.1 (max - min) - min +
-    1e-12). hi - lo is not finite when some value is NaN or infinite
-    (argmin and argmax stop at the first NaN). lo + shift is the smallest
-    shifted value, since rounded addition is monotone."""
+    1e-12), see _roulette_shift; argmin and argmax stop at the first NaN, so
+    a pool holding one has a range that is not finite."""
     lo, hi = values.item(values.argmin()), values.item(values.argmax())
-    infeasible = viols is not None and not viols.item(viols.argmax()) <= TOL_FEAS
-    if not infeasible and math.isfinite(hi - lo):
-        shift = 0.1 * (hi - lo) - lo + 1e-12
-        if lo + shift > 0.0:
-            return 1.0 / (values + shift), False
+    shift = _roulette_shift(lo, hi, None if viols is None else viols.item(viols.argmax()))
+    if shift is not None:
+        return 1.0 / (values + shift), False
     order = argsort_by_compare(values, np.zeros_like(values) if viols is None else viols)
     ranks = np.empty(values.shape[0], dtype=float)
     ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
     return 1.0 / ranks, True
+
+
+def _roulette_shift(lo: float, hi: float, worst) -> Optional[float]:
+    """The shift of a pool whose values range from lo to hi and whose worst
+    violation is worst (None for a box-only pool), or None when the pool
+    is weighted by rank: it holds an infeasible member, its range is not
+    finite, or its best shifted value rounds to zero or below (lo + shift
+    is the smallest shifted value, since rounded addition is monotone)."""
+    if (worst is None or worst <= TOL_FEAS) and math.isfinite(hi - lo):
+        shift = 0.1 * (hi - lo) - lo + 1e-12
+        if lo + shift > 0.0:
+            return shift
+    return None
 
 
 def _roulette_cum(values, viols) -> np.ndarray:
@@ -168,27 +178,31 @@ def _predation_candidates(x, pools, g, rng) -> np.ndarray:
     stack of runs: x is (R, n, D), g the (R, 1, D) predation factors and rng
     the one run's Generator or the stack's RunStreams.
 
-    pools is a list of ((rows, cums), draws), rows the (R, m, D) pool rows
-    and cums each run's cumulative roulette distribution: every
-    consumer draws `draws` prey indices per pool from its run's
-    distribution, then one fresh scalar per prey term weights that prey's
-    difference vector. Each run's index draws happen pool by pool before
-    its weight block is drawn, all from one rng.random call
-    (Generator.random fills in order).
+    pools is a list of (pool, draws), each pool as _group_pool builds it:
+    every consumer draws `draws` prey indices per pool from its run's
+    cumulative roulette distribution, then one fresh scalar per prey term
+    weights that prey's difference vector. Each run's index draws happen
+    pool by pool before its weight block is drawn, all from one rng.random
+    call (Generator.random fills in order). The indices of all runs come
+    from one compare: the first entry of a run's distribution that is not
+    below the draw, which is searchsorted(side="left") because every
+    distribution ends at exactly 1.0 and the draws lie in [0, 1). The prey
+    of all runs are then gathered by one take on the pool's flat rows.
     """
     n_runs, n = x.shape[:2]
     width = sum(draws for _, draws in pools)
     u = rng.random((n_runs, 2 * n * width))
-    prey = []
-    for r in range(n_runs):
-        u_r, gathered, start = u[r], [], 0
-        for (rows, cums), draws in pools:
-            stop = start + n * draws
-            index = cums[r].searchsorted(u_r[start:stop].reshape(n, draws), side="left")
-            gathered.append(rows[r].take(index, axis=0))  # (n, draws, D)
-            start = stop
-        prey.append(gathered[0] if len(gathered) == 1 else np.concatenate(gathered, axis=1))
-    prey = prey[0][None] if n_runs == 1 else np.array(prey)
+    prey, start = [], 0
+    for (rows, cums, offsets), draws in pools:
+        stop = start + n * draws
+        if offsets is None:  # one run: a lone search costs less than the compare
+            index = cums[0].searchsorted(u[:, start:stop], side="left")
+        else:
+            index = (cums[:, None, :] < u[:, start:stop, None]).argmin(-1)
+            index += offsets
+        prey.append(rows.take(index.reshape(n_runs, n, draws), axis=0))  # (R, n, draws, D)
+        start = stop
+    prey = prey[0] if len(prey) == 1 else np.concatenate(prey, axis=2)
     rands = u[:, start:].reshape(n_runs, n, width)
     # sum_t r_t (prey_t - x) = sum_t r_t prey_t - (sum_t r_t) x, which
     # avoids materializing the (R, n, draws, D) difference tensor.
@@ -200,19 +214,73 @@ def _predation_candidates(x, pools, g, rng) -> np.ndarray:
     return step
 
 
-def _group_pool(state: "EcoState", sl: slice, constrained: bool):
-    """A prey pool: each run's rows of the group and their cumulative
-    roulette distribution, cached until a row of the group changes in some
-    run (rebuilding an unchanged run's distribution gives the same bits).
-    Box-only pools skip the violation scan."""
-    pool = state.pool_cums.get(sl.start)
-    if pool is None:
-        values = state.values[:, sl]
-        if constrained:
-            cums = [_roulette_cum(v, w) for v, w in zip(values, state.viols[:, sl])]
+def _stack_roulette_cums(values, viols) -> np.ndarray:
+    """_roulette_cum of every run's row of the (R, m) values and violations
+    (viols None for a box-only pool), bit for bit, as an (R, m) array.
+
+    Each run's shift is computed in Python floats by _roulette_shift (min
+    and max propagate a NaN as argmin and argmax stop at one). The runs
+    weighted by their shifted values then share one reciprocal, one
+    row-wise cumsum and one division by the last column, which round as the
+    same steps on each row alone. A run that falls back to rank weights
+    takes its row from _roulette_cum; it stays out of the shared block, so
+    that its NaN or infinity raises no floating-point warning there.
+    """
+    lows, highs = values.min(axis=1).tolist(), values.max(axis=1).tolist()
+    worst = [None] * len(lows) if viols is None else viols.max(axis=1).tolist()
+    shifted, shifts, ranked = [], [], []
+    for r, bounds in enumerate(zip(lows, highs, worst)):
+        shift = _roulette_shift(*bounds)
+        if shift is None:
+            ranked.append(r)
         else:
-            cums = [_roulette_cum(v, None) for v in values]
-        pool = state.pool_cums[sl.start] = (state.x[:, sl], cums)
+            shifted.append(r)
+            shifts.append(shift)
+    if not ranked:
+        return _shifted_cums(values, shifts)
+    cums = np.empty(values.shape)
+    if shifted:
+        cums[shifted] = _shifted_cums(values[shifted], shifts)
+    for r in ranked:
+        cums[r] = _roulette_cum(values[r], None if viols is None else viols[r])
+    return cums
+
+
+def _shifted_cums(values, shifts) -> np.ndarray:
+    """The cumulative distributions of the (R, m) rows of values, each row
+    weighted by the reciprocals of its values plus its shift."""
+    cums = 1.0 / (values + np.array(shifts)[:, None])
+    cums.cumsum(axis=1, out=cums)
+    cums /= cums[:, -1:]
+    return cums
+
+
+def _group_pool(state: "EcoState", sl: slice, constrained: bool):
+    """A prey pool of the stack: (rows, cums, offsets), with rows the
+    group's (R * m, D) rows run after run, cums the (R, m) cumulative
+    roulette distributions, one row per run, and offsets each run's first
+    row in rows as an (R, 1) column (None for one run). Cached until a row
+    of the group changes in some run (rebuilding an unchanged run's
+    distribution gives the same bits). Box-only pools skip the violation
+    scan.
+
+    A lone run's distribution is _roulette_cum's, and a stack's comes from
+    _stack_roulette_cums with the same bits per row.
+    """
+    pool = state.pool_cums.get(sl.start)
+    if pool is not None:
+        return pool
+    values = state.values[:, sl]
+    viols = state.viols[:, sl] if constrained else None
+    n_runs, m = values.shape
+    if n_runs == 1:
+        cums = _roulette_cum(values[0], None if viols is None else viols[0])[None]
+        offsets = None
+    else:
+        cums = _stack_roulette_cums(values, viols)
+        offsets = np.arange(0, n_runs * m, m)[:, None]
+    rows = state.x[:, sl].reshape(n_runs * m, -1)
+    pool = state.pool_cums[sl.start] = (rows, cums, offsets)
     return pool
 
 
@@ -325,8 +393,11 @@ class EcoState:
     best_viol are each run's best. problem is the problem being solved. The
     decomposer buffer holds the latest decomposition output until the next
     producer re-selection consumes it. pool_cums caches each prey group's
-    pool (per-run rows and roulette distributions) by the group's first row;
-    whatever changes a group's rows in some run drops its entry.
+    pool by the group's first row: the group's rows of all runs as one flat
+    (R * m, D) array, the (R, m) cumulative roulette distributions (one row
+    per run, each ending at exactly 1.0) and each run's row offset into the
+    flat rows (see _group_pool); whatever changes a group's rows in some run
+    drops its entry.
     """
 
     problem: Problem

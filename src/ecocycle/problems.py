@@ -178,7 +178,10 @@ class RunStreams:
     a run owning no rows draws nothing. Each run thus makes exactly the draws
     a lone run makes for its own rows, and a stack of runs gets the same bits
     per run as its runs fitted one at a time. Run r owns counts[r] rows, or,
-    with counts None, an equal share of every batch.
+    with counts None, an equal share of every batch. random fills each run's
+    block in place in one preallocated array; the counts must add up to
+    size[0], or it raises ValueError. These Generator calls, one per run and
+    draw, are the per-run work left in a stacked step.
     """
 
     __slots__ = ("rngs", "counts")
@@ -203,7 +206,17 @@ class RunStreams:
         )
 
     def random(self, size):
-        return self._blocks(lambda rng, shape: rng.random(shape), size)
+        size = (size,) if isinstance(size, int) else tuple(size)
+        counts = self._counts(size[0])
+        if sum(counts) != size[0]:
+            raise ValueError(f"the runs own {sum(counts)} rows of a batch of {size[0]}")
+        out = np.empty(size)
+        start = 0
+        for rng, c in zip(self.rngs, counts):
+            if c:
+                rng.random(out=out[start : start + c])
+                start += c
+        return out
 
     def integers(self, low, high, size):
         return self._blocks(lambda rng, shape: rng.integers(low, high, size=shape), size)
@@ -225,7 +238,9 @@ def select_rows(rng, rows: np.ndarray):
     batch drawn from rng."""
     if not isinstance(rng, RunStreams):
         return rng
-    ends = np.cumsum(rng._counts(rows.shape[0]))
+    if rng.counts is None:
+        return RunStreams(rng.rngs, rows.reshape(len(rng.rngs), -1).sum(axis=1).tolist())
+    ends = np.cumsum(rng.counts)
     taken = np.concatenate(([0], np.cumsum(rows)))[ends]
     return RunStreams(rng.rngs, np.diff(taken, prepend=0).tolist())
 

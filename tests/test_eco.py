@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from ecocycle.eco import (
     DEFAULT_PROPORTIONS,
     EcoOptimizer,
     EcoState,
+    _group_pool,
     _predation_candidates,
     _roulette_cum,
+    _stack_roulette_cums,
     decompose_candidates,
     decompose_global,
     decompose_local,
@@ -305,44 +309,181 @@ class TestPredationStep:
         assert out == pytest.approx(x)
 
 
-class TestPredationCandidates:
-    """The batched move, which computes sum r prey - (sum r) x in one pass,
-    against the plain step on the same queued draws."""
+def pool_of(x, values, viols=None):
+    """The prey pool _group_pool builds from a stack's (R, m, D) rows and
+    (R, m) values (and violations, for a constrained pool)."""
+    state = SimpleNamespace(pool_cums={}, x=x, values=values, viols=viols)
+    return _group_pool(state, slice(0, values.shape[1]), viols is not None)
+
+
+@st.composite
+def roulette_stacks(draw):
+    """(R, m) values and violations (None for a box-only pool), each run's
+    row drawn as ordinary values, values holding NaN or infinities, or a
+    nearly constant pool above 2^14 whose shift rounds away; each run's
+    violations are zero, feasible, or drawn with infeasible and NaN
+    entries."""
+    n_runs, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    row = lambda elements: st.lists(elements, min_size=m, max_size=m)  # noqa: E731
+    values, viols = [], []
+    for _ in range(n_runs):
+        kind = draw(st.sampled_from(("finite", "special", "flat")))
+        if kind == "finite":
+            values.append(draw(row(st.floats(-1e9, 1e9))))
+        elif kind == "special":
+            special = st.sampled_from((math.nan, math.inf, -math.inf))
+            values.append(draw(row(st.one_of(st.floats(-10.0, 10.0), special))))
+        else:
+            base = draw(st.floats(2.0**14, 2.0**40)) * draw(st.sampled_from((1.0, -1.0)))
+            steps = draw(row(st.integers(0, 2)))
+            values.append([base + k * float(np.spacing(base)) for k in steps])
+        kind = draw(st.sampled_from(("zero", "feasible", "mixed")))
+        if kind == "zero":
+            viols.append([0.0] * m)
+        elif kind == "feasible":
+            viols.append(draw(row(st.floats(0.0, TOL_FEAS))))
+        else:
+            viols.append(draw(row(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.just(math.nan)))))
+    constrained = draw(st.booleans())
+    return np.array(values), np.array(viols) if constrained else None
+
+
+class TestStackedRoulette:
+    """Every run's row of a stack's roulette distributions has the bits of
+    _roulette_cum on that run's pool alone, and building them raises no
+    floating-point warning."""
+
+    @given(stack=roulette_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_lone_builds(self, stack):
+        values, viols = stack
+        n_runs, m = values.shape
+        x = np.arange(n_runs * m * 2, dtype=float).reshape(n_runs, m, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cums = _stack_roulette_cums(values, viols)
+            rows, pool_cums, offsets = pool_of(x, values, viols)
+            want = [_roulette_cum(values[r], None if viols is None else viols[r]) for r in range(n_runs)]
+        assert cums.shape == pool_cums.shape == (n_runs, m)
+        for r in range(n_runs):
+            assert cums[r].tobytes() == want[r].tobytes(), r
+            assert pool_cums[r].tobytes() == want[r].tobytes(), r
+            assert want[r][-1] == 1.0
+        # The pool's flat rows hold each run's rows from its offset on.
+        assert rows.shape == (n_runs * m, 2)
+        starts = [0] if offsets is None else offsets[:, 0].tolist()
+        assert starts == [r * m for r in range(n_runs)]
+        for r, start in enumerate(starts):
+            assert rows[start : start + m].tolist() == x[r].tolist()
+
+    def test_all_runs_ranked(self):
+        values = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        cums = _stack_roulette_cums(values, None)
+        for r in range(2):
+            assert cums[r].tolist() == _roulette_cum(values[r], None).tolist()
+
+
+class TestPreyIndex:
+    """The stack's prey indices (one compare for all runs, or a lone run's
+    search) against searchsorted(side="left") per run, read off candidates
+    that land exactly on their prey: x = 0, one prey term of weight 1, g = 1,
+    and pool row j of every run holding j."""
 
     @staticmethod
-    def pool(rng, n, d):
-        pool_x = rng.uniform(-5.0, 5.0, size=(n, d))
-        return pool_x, _roulette_cum(rng.normal(size=n), None)
+    def indices(cums, u):
+        n_runs, m = cums.shape
+        x_pool = np.broadcast_to(np.arange(m, dtype=float)[:, None], (n_runs, m, 1)).copy()
+        rows, _, offsets = pool_of(x_pool, np.zeros((n_runs, m)))
+        n = u.shape[1]
+        draws = np.concatenate((u, np.ones((n_runs, n))), axis=1)
+        got = _predation_candidates(
+            np.zeros((n_runs, n, 1)), [((rows, cums, offsets), 1)], np.ones((n_runs, 1, 1)), QueuedRng(draws)
+        )
+        return got[..., 0]
 
-    def check(self, layout, seed):
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_edge_draws(self, n_runs):
+        base = [
+            [0.25, 0.5, 0.5, 1.0],  # a zero-weight row: 0.5 twice
+            [0.1, 0.2, 0.9, 1.0],
+            [1e-300, 1e-300, 0.75, 1.0],
+        ]
+        cums = np.array(base[:n_runs])
+        u = []
+        for cum in cums:
+            entries = cum[:-1].tolist()
+            u.append(
+                [0.0, math.nextafter(1.0, 0.0)]
+                + entries
+                + [math.nextafter(c, 0.0) for c in entries]
+                + [math.nextafter(c, 1.0) for c in entries]
+            )
+        u = np.array(u)
+        got = self.indices(cums, u)
+        for r in range(n_runs):
+            assert got[r].tolist() == cums[r].searchsorted(u[r], side="left").tolist(), r
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_one_row_pool(self, n_runs):
+        u = np.array([[0.0, 0.5, math.nextafter(1.0, 0.0)]] * n_runs)
+        assert self.indices(np.ones((n_runs, 1)), u).tolist() == [[0.0] * 3] * n_runs
+
+    @given(n_runs=st.integers(1, 5), m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_pools(self, n_runs, m, seed):
+        rng = np.random.default_rng(seed)
+        cums = np.array([_roulette_cum(rng.normal(size=m), None) for _ in range(n_runs)])
+        # Half of the draws sit exactly on an entry of their run's distribution.
+        u = rng.random((n_runs, 8))
+        u[:, ::2] = cums.take(rng.integers(0, m, size=(n_runs, 4)))
+        u[u >= 1.0] = 0.0
+        got = self.indices(cums, u)
+        for r in range(n_runs):
+            assert got[r].tolist() == cums[r].searchsorted(u[r], side="left").tolist(), r
+
+
+class TestPredationCandidates:
+    """The batched move, which computes sum r prey - (sum r) x in one pass
+    for a stack of runs, against the plain step per run on the same queued
+    draws."""
+
+    def check(self, layout, seed, n_runs):
         rng = np.random.default_rng(seed)
         n, d = 9, 7
-        x = rng.uniform(-5.0, 5.0, size=(n, d))
-        g = predation_factor(1, 10, d, rng)
-        pools = [(self.pool(rng, int(rng.integers(2, 10)), d), draws) for draws in layout]
+        x = rng.uniform(-5.0, 5.0, size=(n_runs, n, d))
+        g = predation_factor(1, 10, (n_runs, d), rng)[:, None, :]
+        sources, pools = [], []
+        for draws in layout:
+            m = int(rng.integers(1, 10))
+            pool_x = rng.uniform(-5.0, 5.0, size=(n_runs, m, d))
+            pool = pool_of(pool_x, rng.normal(size=(n_runs, m)))
+            sources.append(pool_x)
+            pools.append((pool, draws))
         width = sum(layout)
-        u = rng.random(2 * n * width)
-        # One run: a leading run axis of length 1, and per-run pool lists.
-        stacked = [(([pool_x], [cum]), draws) for (pool_x, cum), draws in pools]
-        got = _predation_candidates(x[None], stacked, g[None, None], QueuedRng(u[None]))[0]
-        # The index draws come pool by pool, then one weight per prey term.
-        preys, start = [], 0
-        for (pool_x, cum), draws in pools:
-            index = cum.searchsorted(u[start : start + n * draws].reshape(n, draws))
-            preys += [pool_x[index[:, t]] for t in range(draws)]
-            start += n * draws
-        want = predation_step(x, preys, u[start:].reshape(n, width), g)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        u = rng.random((n_runs, 2 * n * width))
+        got = _predation_candidates(x, pools, g, QueuedRng(u))
+        assert got.shape == x.shape
+        for r in range(n_runs):
+            # The index draws come pool by pool, then one weight per prey term.
+            preys, start = [], 0
+            for pool_x, ((_, cums, _), draws) in zip(sources, pools):
+                index = cums[r].searchsorted(u[r, start : start + n * draws].reshape(n, draws))
+                preys += [pool_x[r][index[:, t]] for t in range(draws)]
+                start += n * draws
+            want = predation_step(x[r], preys, u[r, start:].reshape(n, width), g[r])
+            np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_pool_drawn_three_times(self, seed):
-        # herbivores and carnivores
-        self.check((3,), seed)
+        # herbivores and carnivores, for one run and for a stack of three
+        for n_runs in (1, 3):
+            self.check((3,), seed, n_runs)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_three_pools_drawn_one_one_two(self, seed):
         # omnivores: one producer, one herbivore, two carnivores
-        self.check((1, 1, 2), seed)
+        for n_runs in (1, 3):
+            self.check((1, 1, 2), seed, n_runs)
 
 
 class TestDecomposeOptimal:

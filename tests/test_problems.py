@@ -12,11 +12,13 @@ from ecocycle.problems import (
     DimensionMismatch,
     EvalBudget,
     Problem,
+    RunStreams,
     as_point,
     argsort_by_compare,
     evaluate_batch,
     resample_outside,
     sample_uniform,
+    select_rows,
     violation_of,
 )
 from oracles import Evaluation, compare, compare_batch, contains
@@ -340,6 +342,75 @@ class TestRepair:
         xs = sample_uniform(b, 40, np.random.default_rng(seed))
         assert xs.shape == (40, 2)
         assert contains(b, xs).all()
+
+
+class TestRunStreams:
+    """A stack's streams against each run's Generator drawn on its own."""
+
+    @staticmethod
+    def streams(seeds, counts=None):
+        return RunStreams([np.random.default_rng(s) for s in seeds], counts)
+
+    @pytest.mark.parametrize("size", [(12, 5), 12, (6, 2, 3)])
+    def test_equal_shares_match_per_run_draws(self, size):
+        seeds = (4, 0, 9)
+        got = self.streams(seeds).random(size)
+        shape = (size,) if isinstance(size, int) else size
+        block = (shape[0] // 3,) + tuple(shape[1:])
+        want = np.concatenate([np.random.default_rng(s).random(block) for s in seeds])
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_split_counts_skip_runs_owning_no_rows(self):
+        seeds, counts = (4, 0, 9, 2), [2, 0, 3, 0]
+        streams = self.streams(seeds, counts)
+        got = streams.random((5, 4))
+        want = np.concatenate(
+            [np.random.default_rng(s).random((c, 4)) for s, c in zip(seeds, counts) if c]
+        )
+        assert got.tobytes() == want.tobytes()
+        # A run owning no rows drew nothing: its next draw is its first.
+        for rng, s, c in zip(streams.rngs, seeds, counts):
+            if not c:
+                assert rng.random() == np.random.default_rng(s).random()
+
+    def test_integers_match_per_run_draws(self):
+        seeds, counts = (1, 2, 3), [1, 0, 2]
+        got = self.streams(seeds, counts).integers(1, 3, size=(3, 7))
+        want = np.concatenate(
+            [np.random.default_rng(s).integers(1, 3, size=(c, 7)) for s, c in zip(seeds, counts) if c]
+        )
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "counts, size",
+        [([1, 2], (4, 3)), ([3, 2], 4), (None, (4, 3)), (None, 5)],
+    )
+    def test_rows_not_owned_raise(self, counts, size):
+        # counts that miss the batch's rows (or an uneven equal share) would
+        # leave part of the preallocated block unfilled.
+        streams = self.streams((0, 1) if counts else (0, 1, 2), counts)
+        with pytest.raises(ValueError, match="rows"):
+            streams.random(size)
+
+    @given(
+        n_runs=st.integers(1, 6),
+        n=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_share_selection_matches_split_path(self, n_runs, n, seed):
+        mask = np.random.default_rng(seed).random(n_runs * n) < 0.4
+        rngs = [np.random.default_rng(r) for r in range(n_runs)]
+        equal = select_rows(RunStreams(rngs), mask)
+        split = select_rows(RunStreams(rngs, [n] * n_runs), mask)
+        assert equal.counts == split.counts
+        assert equal.counts == [int(m.sum()) for m in mask.reshape(n_runs, n)]
+        assert all(type(c) is int for c in equal.counts)
+
+    def test_lone_generator_selects_itself(self):
+        rng = np.random.default_rng(0)
+        assert select_rows(rng, np.array([True, False])) is rng
 
 
 class TestProblemValidation:
